@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .exceptions import DegenerateImperfectionError
 
@@ -146,8 +147,12 @@ def _cap_height(radius: float, rho: float) -> float:
     return rho * rho / (radius + math.sqrt(radius * radius - rho * rho))
 
 
-def profile_height(profile: LensProfile, rho: float, a: float) -> float:
-    """Separation z between the plate and the lens surface above radius rho.
+def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
+    """The height profile rho -> z of ``profile_height`` at closest approach a.
+
+    The seam geometry is computed once, so a quadrature can call the
+    returned function at every node; it does not check that rho lies in
+    [0, lateral_extent(profile)].
 
     The imperfection region and the surrounding lens meet continuously on
     the seam circle rho = r; the lens-region offset uses the exact sagitta
@@ -155,27 +160,41 @@ def profile_height(profile: LensProfile, rho: float, a: float) -> float:
     """
     if not a > 0.0:
         raise ValueError(f"closest approach a must be positive, got {a!r}")
-    if rho < 0.0:
-        raise ValueError(f"radial coordinate must be non-negative, got {rho!r}")
     if profile.D > profile.R:
         raise ValueError("height profiles are single-valued only for D <= R")
+    R = profile.R
+    if profile.kind is LensKind.PERFECT:
+        return lambda rho: a + _cap_height(R, rho)
+    r = _footprint_radius(profile)
+    R1, D1 = profile.R1, profile.D1
+    seam = _cap_height(R, r)
+    if profile.kind is LensKind.BUBBLE:
+        def bubble(rho: float) -> float:
+            if rho <= r:
+                return a + _cap_height(R1, rho)
+            return a + D1 + _cap_height(R, rho) - seam
+
+        return bubble
+
+    # pit: the hollow floor for rho <= r, the undisturbed lens beyond;
+    # closest approach a sits on the seam circle itself.
+    def pit(rho: float) -> float:
+        if rho <= r:
+            return a + D1 - _cap_height(R1, rho)
+        return a + _cap_height(R, rho) - seam
+
+    return pit
+
+
+def profile_height(profile: LensProfile, rho: float, a: float) -> float:
+    """Separation z between the plate and the lens surface above radius rho."""
+    height = height_function(profile, a)
+    if rho < 0.0:
+        raise ValueError(f"radial coordinate must be non-negative, got {rho!r}")
     extent = lateral_extent(profile)
     if rho > extent:
         raise ValueError(f"rho={rho!r} lies outside the lens extent {extent!r}")
-    R = profile.R
-    if profile.kind is LensKind.PERFECT:
-        return a + _cap_height(R, rho)
-    r = _footprint_radius(profile)
-    R1, D1 = profile.R1, profile.D1
-    if profile.kind is LensKind.BUBBLE:
-        if rho <= r:
-            return a + _cap_height(R1, rho)
-        return a + D1 + _cap_height(R, rho) - _cap_height(R, r)
-    # pit: the hollow floor for rho <= r, the undisturbed lens beyond;
-    # closest approach a sits on the seam circle itself.
-    if rho <= r:
-        return a + D1 - _cap_height(R1, rho)
-    return a + _cap_height(R, rho) - _cap_height(R, r)
+    return height(rho)
 
 
 @dataclass(frozen=True)

@@ -119,25 +119,31 @@ class ErrorBudget:
     q_table: Mapping[tuple[float, float], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.random_error < 0.0:
-            raise ValueError("random error must be non-negative")
+        if not 0.0 <= self.random_error < math.inf:
+            raise ValueError(
+                f"random error must be non-negative and finite, got {self.random_error!r}"
+            )
         components = tuple(float(c) for c in self.systematic_components)
         if not components:
             raise ValueError("at least one systematic component is required")
-        if any(c < 0.0 for c in components):
-            raise ValueError("systematic components must be non-negative")
+        if not all(0.0 <= c < math.inf for c in components):
+            raise ValueError("systematic components must be non-negative and finite")
+        if not math.isfinite(self.variance_of_mean):
+            raise ValueError(
+                f"scatter of the mean must be finite, got {self.variance_of_mean!r}"
+            )
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {self.beta!r}")
         object.__setattr__(self, "systematic_components", components)
         merged = dict(DEFAULT_K_TABLE)
         merged.update(self.k_table)
         for (count, beta), k in merged.items():
-            if count < 1 or not k > 0.0:
+            if count < 1 or not 0.0 < k < math.inf:
                 raise ValueError(f"invalid k table entry ({count}, {beta}) -> {k}")
         object.__setattr__(self, "k_table", merged)
         q_table = dict(self.q_table)
         for (r, beta), q in q_table.items():
-            if r < 0.0:
+            if not 0.0 <= r < math.inf:
                 raise ValueError(f"invalid q table key r={r!r}")
             if not 0.0 < q <= 1.0:
                 raise ValueError(f"blend coefficient q={q!r} outside (0, 1]")
@@ -218,6 +224,8 @@ def total_error(budget: ErrorBudget, measured_value: float | None = None) -> Com
     if measured_value is not None:
         if measured_value == 0.0:
             raise ValueError("relative error is undefined for a zero measured value")
+        if not math.isfinite(measured_value):
+            raise ValueError(f"measured value must be finite, got {measured_value!r}")
         relative = total / abs(measured_value)
     return CombinedError(
         total=total,

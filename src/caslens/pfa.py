@@ -29,14 +29,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from scipy.integrate import quad
-
 from .constants import SI, PhysicalConstants
 from .exceptions import QuadratureError
-from .lens import LensKind, LensProfile, derive_geometry, lateral_extent, profile_height
+from .lens import LensKind, LensProfile, derive_geometry, height_function, lateral_extent
 from .plates import free_energy_pp, pressure_pp
+from .quadrature import integrate
 
-#: Default relative tolerance for the adaptive PFA quadrature.
+#: Default relative tolerance for the PFA quadrature.
 DEFAULT_QUAD_TOL = 1.0e-9
 
 #: a/R above which the simplified closed form carries an applicability note.
@@ -147,7 +146,8 @@ def force_perfect_full(
             - 2 pi integral_a^(D+a) F_pp(z) dz
 
     D defaults to R (hemisphere), where the middle term vanishes.  The
-    separation integral runs in log space to tame its many decades.
+    separation integral runs in log space to tame its many decades, by the
+    adaptive Gauss-Kronrod rule of ``caslens.quadrature``.
     """
     _validate_point(a, T, R)
     if D is None:
@@ -159,11 +159,7 @@ def force_perfect_full(
         z = math.exp(u)
         return free_energy_pp(z, T, constants=constants).value * z
 
-    out = quad(integrand, math.log(a), math.log(D + a), epsabs=0.0,
-               epsrel=max(quad_tol, 1.0e-13), limit=300, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"separation integral did not converge: {out[3]}")
-    integral = out[0]
+    integral = integrate(integrand, math.log(a), math.log(D + a), rel_tol=quad_tol)[0]
     signed = 2.0 * math.pi * (
         R * free_energy_pp(a, T, constants=constants).value
         - (R - D) * free_energy_pp(D + a, T, constants=constants).value
@@ -240,10 +236,11 @@ def force_general(
 ) -> ForceResult:
     """PFA force by direct quadrature over the actual surface profile.
 
-    Integrates 2 pi rho P(z(rho)) from the symmetry axis to the lens edge,
-    with a mandatory split on the imperfection seam rho = r (the profile
-    has a slope kink there) and a log-space outer panel so the decades
-    between the footprint scale and the lens edge stay cheap.
+    Integrates 2 pi rho P(z(rho)) from the symmetry axis to the lens edge
+    by the adaptive Gauss-Kronrod rule of ``caslens.quadrature``, with a
+    mandatory split on the imperfection seam rho = r (the profile has a
+    slope kink there) and a log-space outer panel so the decades between
+    the footprint scale and the lens edge stay cheap.
 
     Agreement with the closed forms: perfect profiles match
     ``force_perfect_full`` and bubble profiles match ``force_bubble`` to
@@ -258,9 +255,7 @@ def force_general(
     kernel; it exists for testing.
     """
     _validate_point(a, T, profile.R)
-    if profile.D > profile.R:
-        raise ValueError("general quadrature requires a single-valued "
-                         "surface, i.e. D <= R")
+    height = height_function(profile, a)  # rejects D > R: z(rho) is single-valued
     if pressure_fn is None:
         def pressure_fn(z: float, _T: float = T) -> float:
             return pressure_pp(z, _T, constants=constants)
@@ -272,30 +267,17 @@ def force_general(
         split = min(derive_geometry(profile).r, 0.5 * extent)
 
     def inner(rho: float) -> float:
-        return rho * pressure_fn(profile_height(profile, rho, a))
+        return rho * pressure_fn(height(rho))
 
     def outer(v: float) -> float:
         rho = min(math.exp(v), extent)
-        return rho * rho * pressure_fn(profile_height(profile, rho, a))
+        return rho * rho * pressure_fn(height(rho))
 
-    epsrel = max(0.1 * quad_tol, 1.0e-13)
-    pieces = 0.0
-    abs_error = 0.0
-    out = quad(inner, 0.0, split, epsabs=0.0, epsrel=epsrel, limit=300,
-               full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"inner PFA panel did not converge: {out[3]}")
-    pieces += out[0]
-    abs_error += out[1]
-    out = quad(outer, math.log(split), math.log(extent), epsabs=0.0,
-               epsrel=epsrel, limit=300, full_output=1)
-    if len(out) > 3:
-        raise QuadratureError(f"outer PFA panel did not converge: {out[3]}")
-    pieces += out[0]
-    abs_error += out[1]
-
-    signed = 2.0 * math.pi * pieces
-    achieved = 2.0 * math.pi * abs_error
+    inner_value, inner_error, _ = integrate(inner, 0.0, split, rel_tol=0.1 * quad_tol)
+    outer_value, outer_error, _ = integrate(outer, math.log(split), math.log(extent),
+                                            rel_tol=0.1 * quad_tol)
+    signed = 2.0 * math.pi * (inner_value + outer_value)
+    achieved = 2.0 * math.pi * (inner_error + outer_error)
     if signed != 0.0 and achieved > quad_tol * abs(signed):
         raise QuadratureError(
             f"PFA quadrature reached {achieved / abs(signed):.3e} relative "

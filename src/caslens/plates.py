@@ -31,10 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad
-
 from .constants import SI, PhysicalConstants
-from .exceptions import ConvergenceError, SlowConvergenceError
+from .exceptions import ConvergenceError, QuadratureError, SlowConvergenceError
+from .quadrature import integrate
 
 #: Riemann zeta(3) (Apery's constant), to full double precision.
 ZETA3 = 1.2020569031595943
@@ -57,11 +56,15 @@ _ANALYTIC_TAIL_MIN = 34.0
 
 
 def tau(z: float, T: float, *, constants: PhysicalConstants = SI) -> float:
-    """Dimensionless thermal parameter  tau = 4 pi z k_B T / (hbar c)."""
-    if not z > 0.0:
-        raise ValueError(f"separation must be positive, got {z!r}")
-    if T < 0.0:
-        raise ValueError(f"temperature must be non-negative, got {T!r}")
+    """Dimensionless thermal parameter  tau = 4 pi z k_B T / (hbar c).
+
+    Every kernel entry point goes through here, so this is where a NaN or
+    infinite z or T is refused, before any series starts.
+    """
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"separation must be positive and finite, got {z!r}")
+    if not 0.0 <= T < math.inf:
+        raise ValueError(f"temperature must be non-negative and finite, got {T!r}")
     return 4.0 * math.pi * z * constants.boltzmann * T / (
         constants.reduced_planck * constants.light_speed
     )
@@ -231,27 +234,27 @@ def _momentum_integrand(y: float) -> float:
 def _momentum_integral(m: float, quad_tol: float) -> float:
     """Integral of y*ln(1 - e^(-y)) over y in [m, inf); non-positive.
 
-    Evaluated by adaptive quadrature.  For m >= _ANALYTIC_TAIL_MIN the
-    two-term analytic tail -(1+m)e^(-m) - (2m+1)e^(-2m)/8 is exact to
-    double precision and is used directly.
+    Evaluated by the adaptive Gauss-Kronrod rule of ``caslens.quadrature``.
+    For m >= _ANALYTIC_TAIL_MIN the two-term analytic tail
+    -(1+m)e^(-m) - (2m+1)e^(-2m)/8 is exact to double precision and is
+    used directly.  A panel that misses the tolerance raises
+    ConvergenceError.
     """
     if m < 0.0:
         raise ValueError(f"lower integration limit must be non-negative, got {m!r}")
     if m >= _ANALYTIC_TAIL_MIN:
         return -(1.0 + m) * math.exp(-m) - (2.0 * m + 1.0) * math.exp(-2.0 * m) / 8.0
-    epsrel = max(quad_tol, 1.0e-13)
     total = 0.0
     # Split at y = 1 so the logarithmic behaviour near y = 0 gets its own
     # panel; both pieces are non-positive, so relative errors just add.
     bounds = (m, 1.0, math.inf) if m < 1.0 else (m, math.inf)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        out = quad(_momentum_integrand, lo, hi, epsabs=0.0, epsrel=epsrel,
-                   limit=200, full_output=1)
-        if len(out) > 3:
+        try:
+            total += integrate(_momentum_integrand, lo, hi, rel_tol=quad_tol)[0]
+        except QuadratureError as exc:
             raise ConvergenceError(
-                f"momentum integral on [{lo}, {hi}] did not converge: {out[3]}"
-            )
-        total += out[0]
+                f"momentum integral on [{lo}, {hi}] did not converge: {exc}"
+            ) from exc
     return total
 
 
@@ -288,11 +291,11 @@ def free_energy_pp_oracle(
 ) -> FreeEnergyAreal:
     """Brute-force thermal sum for F_pp; independent of the closed series.
 
-    Sums the thermal indices l = 0, 1, 2, ... (index 0 halved), each term an
-    adaptive quadrature over the dimensionless momentum variable y = 2 z q_l
-    starting at y = tau*l.  The sum stops once a geometric tail bound drops
-    below quad_tol of the accumulated value; running past l_max raises
-    instead of silently truncating.
+    Sums the thermal indices l = 0, 1, 2, ... (index 0 halved), each term a
+    Gauss-Kronrod quadrature (``caslens.quadrature``) over the dimensionless
+    momentum variable y = 2 z q_l starting at y = tau*l.  The sum stops once
+    a geometric tail bound drops below quad_tol of the accumulated value;
+    running past l_max raises instead of silently truncating.
     """
     if not T > 0.0:
         raise ValueError("the brute-force sum requires T > 0; "

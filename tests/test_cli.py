@@ -1,7 +1,13 @@
 """End-to-end command-line behaviour: CSV output, exit codes, overrides."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import caslens
 from caslens import free_energy_pp, pressure_pp
 from caslens.cli import main
 
@@ -191,6 +197,65 @@ def test_numerical_failure_exit_code(capsys):
     code = main(["fpp", "--a-list", "1nm", "--T", "0.01"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_unattainable_quadrature_tolerance_exit_code(capsys):
+    # The rule's error estimate cannot fall below ~1e-14 relative.
+    code = main(["force", "--method", "quadrature", "--profile", "perfect",
+                 "--R", "15cm", "--a-list", "1um", "--tol", "1e-16"])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_combine_errors_rejects_non_finite_value(tmp_path, capsys, value):
+    budget = tmp_path / "budget.cfg"
+    budget.write_text(
+        "random_error = 0.05\n"
+        "systematic_components = 0.19\n"
+        "variance_of_mean = 0.02\n",
+        encoding="utf-8",
+    )
+    code = main(["combine-errors", "--budget", str(budget), "--value", value])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "delta_t_relative" not in captured.out
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from caslens.cli import main
+from caslens.plates import free_energy_pp_oracle
+assert main(["reproduce-fig2"]) == 0
+for profile in (["perfect"], ["bubble", "--R1", "25cm", "--D1", "0.5um"],
+                ["pit", "--R1", "12cm", "--D1", "1um"]):
+    assert main(["force", "--method", "quadrature", "--R", "15cm",
+                 "--a-list", "1um", "--profile", *profile]) == 0
+assert free_energy_pp_oracle(1.0e-6, 300.0).value < 0.0
+"""
+
+
+def _python(code):
+    env = dict(os.environ)
+    src = str(Path(caslens.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_runs_without_scipy():
+    done = _python(_WITHOUT_SCIPY)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("a_um,ratio_line1,ratio_line2,ratio_line3\n")
+    assert done.stdout.count("quadrature") == 3
+
+
+def test_import_does_not_load_scipy():
+    done = _python("import sys, caslens.cli; print('scipy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_io_failure_exit_code(tmp_path, capsys):

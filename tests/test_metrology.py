@@ -174,6 +174,22 @@ def test_budget_validation():
                     variance_of_mean=1.0, q_table={(1.0, 0.9): 1.5})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_budget_fields_are_rejected(bad):
+    valid = dict(random_error=0.1, systematic_components=(0.1, 0.2),
+                 variance_of_mean=1.0)
+    for field, value in (("random_error", bad),
+                         ("systematic_components", (0.1, bad)),
+                         ("variance_of_mean", bad),
+                         ("k_table", {(2, 0.95): bad}),
+                         ("q_table", {(bad, 0.95): 0.75})):
+        with pytest.raises(ValueError):
+            ErrorBudget(**{**valid, field: value})
+    budget = ErrorBudget(**valid, k_table={(2, 0.95): 1.2})
+    with pytest.raises(ValueError):
+        total_error(budget, measured_value=bad)
+
+
 def test_combined_error_never_exceeds_plain_sum():
     with pytest.raises(ValueError):
         CombinedError(total=3.0, relative=None, rule_applied=Rule.BLEND,

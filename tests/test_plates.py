@@ -1,6 +1,7 @@
 """Plate free energy and pressure: closed series against independent checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from caslens import (
     pressure_pp,
     tau,
 )
+from caslens import plates
+from caslens.exceptions import QuadratureError
 from caslens.plates import TAU_MIN, ZETA3
 
 # Reference values frozen from independent evaluations (brute-force thermal
@@ -54,6 +57,26 @@ def test_tau_domain_errors():
         tau(-1.0e-6, 300.0)
     with pytest.raises(ValueError):
         tau(1.0e-6, -1.0)
+
+
+@pytest.mark.parametrize("z, T", [
+    (1.0e-6, math.nan),
+    (1.0e-6, math.inf),
+    (math.inf, 300.0),
+    (math.nan, 300.0),
+])
+@pytest.mark.parametrize("kernel", [
+    free_energy_pp,
+    pressure_pp,
+    lambda z, T: matsubara_term(z, T, 1),
+    free_energy_pp_oracle,
+], ids=["free_energy_pp", "pressure_pp", "matsubara_term", "free_energy_pp_oracle"])
+def test_non_finite_inputs_are_domain_errors(kernel, z, T):
+    # Refused in tau() before any series or thermal sum starts.
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        kernel(z, T)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_thermal_point_recomputes_tau():
@@ -165,6 +188,15 @@ def test_matsubara_term_domain():
 def test_oracle_reports_truncation_instead_of_lying():
     with pytest.raises(ConvergenceError):
         free_energy_pp_oracle(1.0e-6, 300.0, l_max=3)
+
+
+def test_failed_momentum_quadrature_is_a_convergence_error(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise QuadratureError("stopped at 300 subintervals")
+
+    monkeypatch.setattr(plates, "integrate", exhausted)
+    with pytest.raises(ConvergenceError, match="momentum integral"):
+        matsubara_term(1.0e-6, 300.0, 0)
 
 
 def test_oracle_rejects_zero_temperature():
