@@ -45,6 +45,7 @@ from .pfa import (
     ForceMethod,
     ForceResult,
     RatioCurve,
+    force,
     force_bubble,
     force_general,
     force_perfect_full,
@@ -56,7 +57,6 @@ from .plates import (
     TAU_MIN,
     ZETA3,
     FreeEnergyAreal,
-    ThermalPoint,
     free_energy_pp,
     free_energy_pp_oracle,
     matsubara_term,
@@ -102,6 +102,7 @@ __all__ = [
     "ForceMethod",
     "ForceResult",
     "RatioCurve",
+    "force",
     "force_bubble",
     "force_general",
     "force_perfect_full",
@@ -111,7 +112,6 @@ __all__ = [
     "TAU_MIN",
     "ZETA3",
     "FreeEnergyAreal",
-    "ThermalPoint",
     "free_energy_pp",
     "free_energy_pp_oracle",
     "matsubara_term",

@@ -25,18 +25,10 @@ import tempfile
 from typing import Iterable, Sequence
 
 from . import config as cfg
-from .exceptions import NumericalError
+from .exceptions import NumericalError, check_finite
 from .lens import LensKind, LensProfile, derive_geometry, validate_spec
 from .metrology import ErrorBudget, load_k_table, load_q_table, total_error
-from .pfa import (
-    ForceMethod,
-    force_bubble,
-    force_general,
-    force_perfect_full,
-    force_perfect_simplified,
-    force_pit,
-    ratio_curve,
-)
+from .pfa import ForceMethod, force, ratio_curve
 from .plates import free_energy_pp, pressure_pp
 
 DEFAULT_TEMPERATURE = 300.0
@@ -87,10 +79,13 @@ def _write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
 
 def _setting(args: argparse.Namespace, file_config: dict[str, str],
              name: str, default: str | None = None) -> str | None:
-    value = getattr(args, name.replace("-", "_"), None)
+    """A flag's value, else the config file's under ``name`` or with '_'
+    for '-' (``a-list`` or ``a_list``), else ``default``."""
+    underscored = name.replace("-", "_")
+    value = getattr(args, underscored, None)
     if value is not None:
         return value
-    return file_config.get(name, default)
+    return file_config.get(name, file_config.get(underscored, default))
 
 
 def _file_config(args: argparse.Namespace) -> dict[str, str]:
@@ -101,18 +96,14 @@ def _file_config(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _grid(args: argparse.Namespace, file_config: dict[str, str]) -> list[float]:
-    explicit = _setting(args, file_config, "a-list") or _setting(
-        args, file_config, "a_list")
+    explicit = _setting(args, file_config, "a-list")
     if explicit:
         return [cfg.parse_length(item) for item in explicit.split(",") if item.strip()]
-    start = _setting(args, file_config, "a-start") or _setting(
-        args, file_config, "a_start")
+    start = _setting(args, file_config, "a-start")
     if start is None:
         raise UsageError("a separation grid requires --a-start or --a-list")
-    stop = _setting(args, file_config, "a-stop") or _setting(
-        args, file_config, "a_stop")
-    step = _setting(args, file_config, "a-step") or _setting(
-        args, file_config, "a_step")
+    stop = _setting(args, file_config, "a-stop")
+    step = _setting(args, file_config, "a-step")
     start_m = cfg.parse_length(start)
     stop_m = cfg.parse_length(stop) if stop is not None else start_m
     if step is None:
@@ -128,10 +119,7 @@ def _temperature(args: argparse.Namespace, file_config: dict[str, str]) -> float
     raw = _setting(args, file_config, "T")
     if raw is None:
         return DEFAULT_TEMPERATURE
-    value = cfg.parse_temperature(raw)
-    if value < 0.0:
-        raise UsageError(f"temperature must be non-negative, got {value!r}")
-    return value
+    return check_finite("temperature", cfg.parse_temperature(raw), strict=False)
 
 
 def _profile(args: argparse.Namespace, file_config: dict[str, str]) -> LensProfile:
@@ -145,32 +133,16 @@ def _profile(args: argparse.Namespace, file_config: dict[str, str]) -> LensProfi
         raise UsageError("--R is required")
     R = cfg.parse_length(raw_R)
     raw_D = _setting(args, file_config, "D")
-    D = cfg.parse_length(raw_D) if raw_D is not None else None
-    if kind is LensKind.PERFECT:
-        return LensProfile.perfect(R, D)
-    raw_R1 = _setting(args, file_config, "R1")
-    raw_D1 = _setting(args, file_config, "D1")
-    if raw_R1 is None or raw_D1 is None:
-        raise UsageError(f"a {kind.value} profile requires --R1 and --D1")
-    R1 = cfg.parse_length(raw_R1)
-    D1 = cfg.parse_length(raw_D1)
-    if kind is LensKind.BUBBLE:
-        return LensProfile.bubble(R, R1, D1, D)
-    return LensProfile.pit(R, R1, D1, D)
-
-
-_METHOD_KINDS = {
-    ForceMethod.PERFECT_SIMPLIFIED: LensKind.PERFECT,
-    ForceMethod.PERFECT_FULL: LensKind.PERFECT,
-    ForceMethod.BUBBLE: LensKind.BUBBLE,
-    ForceMethod.PIT: LensKind.PIT,
-}
-
-_DEFAULT_METHODS = {
-    LensKind.PERFECT: ForceMethod.PERFECT_SIMPLIFIED,
-    LensKind.BUBBLE: ForceMethod.BUBBLE,
-    LensKind.PIT: ForceMethod.PIT,
-}
+    D = cfg.parse_length(raw_D) if raw_D is not None else R
+    R1 = D1 = None
+    if kind is not LensKind.PERFECT:
+        raw_R1 = _setting(args, file_config, "R1")
+        raw_D1 = _setting(args, file_config, "D1")
+        if raw_R1 is None or raw_D1 is None:
+            raise UsageError(f"a {kind.value} profile requires --R1 and --D1")
+        R1 = cfg.parse_length(raw_R1)
+        D1 = cfg.parse_length(raw_D1)
+    return LensProfile(kind, R, D, R1, D1)
 
 
 def _cmd_fpp(args: argparse.Namespace) -> int:
@@ -196,40 +168,16 @@ def _cmd_force(args: argparse.Namespace) -> int:
     T = _temperature(args, file_config)
     grid = _grid(args, file_config)
     profile = _profile(args, file_config)
-    method_name = _setting(args, file_config, "method")
-    if method_name is None:
-        method = _DEFAULT_METHODS[profile.kind]
-    else:
-        try:
-            method = ForceMethod(method_name)
-        except ValueError:
-            raise UsageError(f"unknown method {method_name!r}") from None
-    required = _METHOD_KINDS.get(method)
-    if required is not None and profile.kind is not required:
-        raise UsageError(
-            f"method {method.value!r} applies to {required.value} profiles, "
-            f"not {profile.kind.value}"
-        )
+    method = _setting(args, file_config, "method")
     raw_tol = _setting(args, file_config, "tol")
-    tol = float(raw_tol) if raw_tol is not None else None
+    tol = check_finite("--tol", float(raw_tol)) if raw_tol is not None else None
     warnings_seen: list[str] = []
     rows = []
     for a in grid:
-        if method is ForceMethod.PERFECT_SIMPLIFIED:
-            result = force_perfect_simplified(a, T, profile.R)
-        elif method is ForceMethod.PERFECT_FULL:
-            result = force_perfect_full(a, T, profile.R, profile.D,
-                                        quad_tol=tol if tol is not None else 1.0e-12)
-        elif method is ForceMethod.BUBBLE:
-            result = force_bubble(a, T, profile.R, profile.R1, profile.D1)
-        elif method is ForceMethod.PIT:
-            result = force_pit(a, T, profile.R, profile.R1, profile.D1)
-        else:
-            result = force_general(profile, a, T,
-                                   quad_tol=tol if tol is not None else 1.0e-9)
+        result = force(profile, a, T, method, tol=tol)
         if result.warning and result.warning not in warnings_seen:
             warnings_seen.append(result.warning)
-        rows.append((_fmt(a), _fmt(result.magnitude), method.value))
+        rows.append((_fmt(a), _fmt(result.magnitude), result.method.value))
     for warning in warnings_seen:
         print(f"warning: {warning}", file=sys.stderr)
     _write_csv(args.out, "a_m,F_N,method", rows)
@@ -256,10 +204,7 @@ def _cmd_reproduce_fig2(args: argparse.Namespace) -> int:
     grid = cfg.build_grid(1.0e-6, 3.0e-6, 0.05e-6)
     columns = []
     for _name, kind, R1, D1 in _BENCHMARK_CASES:
-        if kind is LensKind.BUBBLE:
-            profile = LensProfile.bubble(_BENCHMARK_R, R1, D1)
-        else:
-            profile = LensProfile.pit(_BENCHMARK_R, R1, D1)
+        profile = LensProfile(kind, _BENCHMARK_R, _BENCHMARK_R, R1, D1)
         columns.append(ratio_curve(profile, grid, DEFAULT_TEMPERATURE).ratios)
     header = "a_um," + ",".join(name for name, *_ in _BENCHMARK_CASES)
     rows = []
@@ -306,8 +251,7 @@ def _cmd_combine_errors(args: argparse.Namespace) -> int:
 def _cmd_validate_lens(args: argparse.Namespace) -> int:
     file_config = _file_config(args)
     profile = _profile(args, file_config)
-    raw_tolerance = _setting(args, file_config, "delta-R") or _setting(
-        args, file_config, "delta_R")
+    raw_tolerance = _setting(args, file_config, "delta-R")
     if raw_tolerance is not None:
         report = validate_spec(profile, cfg.parse_length(raw_tolerance))
     else:

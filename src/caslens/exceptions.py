@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one domain check.
 
 Domain errors (bad arguments, inconsistent configuration) raise plain
 ValueError subclasses and map to the CLI usage exit code.  Numerical
@@ -7,6 +7,8 @@ exit code, so a truncated sum or quadrature is never silently accepted.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class NumericalError(RuntimeError):
@@ -40,3 +42,15 @@ class DegenerateBudgetError(ValueError):
 
 class DegenerateImperfectionError(ValueError):
     """Imperfection parameters describe an empty or impossible defect."""
+
+
+def check_finite(name: str, x: float, *, strict: bool = True) -> float:
+    """x, if finite and positive (non-negative when not strict); else ValueError.
+
+    The package's one domain check on a length, temperature or tolerance;
+    NaN fails its chained comparison, so NaN and +-inf are refused too.
+    """
+    if 0.0 < x < math.inf or (not strict and x == 0.0):
+        return x
+    sign = "positive" if strict else "non-negative"
+    raise ValueError(f"{name} must be {sign} and finite, got {x!r}")

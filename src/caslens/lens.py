@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .exceptions import DegenerateImperfectionError
+from .exceptions import DegenerateImperfectionError, check_finite
 
 #: Optical-surface quality bounds on the imperfection footprint diameter 2r.
 FOOTPRINT_DIAMETER_MIN = 30.0e-6
@@ -58,10 +58,8 @@ class LensProfile:
     D1: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.R > 0.0:
-            raise ValueError(f"curvature radius R must be positive, got {self.R!r}")
-        if not self.D > 0.0:
-            raise ValueError(f"lens thickness D must be positive, got {self.D!r}")
+        check_finite("curvature radius R", self.R)
+        check_finite("lens thickness D", self.D)
         if self.D > 2.0 * self.R:
             raise ValueError(f"lens thickness D={self.D!r} exceeds the sphere 2R")
         if self.kind is LensKind.PERFECT:
@@ -70,10 +68,8 @@ class LensProfile:
             return
         if self.R1 is None or self.D1 is None:
             raise ValueError(f"{self.kind.value} profiles require R1 and D1")
-        if not self.R1 > 0.0:
-            raise ValueError(f"imperfection radius R1 must be positive, got {self.R1!r}")
-        if not self.D1 > 0.0:
-            raise ValueError(f"imperfection depth D1 must be positive, got {self.D1!r}")
+        check_finite("imperfection radius R1", self.R1)
+        check_finite("imperfection depth D1", self.D1)
         if self.D1 >= _MAX_DEPTH_FRACTION * self.R:
             raise ValueError(
                 f"imperfection depth D1={self.D1!r} is not small against R={self.R!r}"
@@ -158,8 +154,7 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
     the seam circle rho = r; the lens-region offset uses the exact sagitta
     R - sqrt(R^2 - r^2) so the two branches agree there to round-off.
     """
-    if not a > 0.0:
-        raise ValueError(f"closest approach a must be positive, got {a!r}")
+    check_finite("closest approach a", a)
     if profile.D > profile.R:
         raise ValueError("height profiles are single-valued only for D <= R")
     R = profile.R
@@ -189,8 +184,7 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
 def profile_height(profile: LensProfile, rho: float, a: float) -> float:
     """Separation z between the plate and the lens surface above radius rho."""
     height = height_function(profile, a)
-    if rho < 0.0:
-        raise ValueError(f"radial coordinate must be non-negative, got {rho!r}")
+    check_finite("radial coordinate rho", rho, strict=False)
     extent = lateral_extent(profile)
     if rho > extent:
         raise ValueError(f"rho={rho!r} lies outside the lens extent {extent!r}")
@@ -222,8 +216,7 @@ def validate_spec(
     """Check an imperfection against the surface-quality window and against
     the curvature-radius measurement tolerance; perfect profiles pass
     vacuously."""
-    if not curvature_tolerance > 0.0:
-        raise ValueError("curvature_tolerance must be positive")
+    check_finite("curvature_tolerance", curvature_tolerance)
     if profile.kind is LensKind.PERFECT:
         detail = "no imperfection present"
         return SpecReport(checks=(

@@ -17,6 +17,9 @@ imperfection sphere, giving the two-term closed forms
     bubble:  F = 2 pi (R - R1) F_pp(a + D1, T) + 2 pi R1 F_pp(a, T)
     pit:     F = 2 pi (R - R1) F_pp(a, T)      + 2 pi R1 F_pp(a + D1, T).
 
+``force`` is the entry point over a ``LensProfile``: it evaluates the closed
+form for the profile's kind, or the method asked for.
+
 All closed forms drop terms of relative order (a, d, D1)/R, i.e. around
 1e-5 for micrometer separations and centimeter lenses; the general
 quadrature keeps them and is the cross-check.
@@ -30,7 +33,7 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .constants import SI, PhysicalConstants
-from .exceptions import QuadratureError
+from .exceptions import QuadratureError, check_finite
 from .lens import LensKind, LensProfile, derive_geometry, height_function, lateral_extent
 from .plates import free_energy_pp, pressure_pp
 from .quadrature import integrate
@@ -66,8 +69,7 @@ class ForceResult:
     warning: str | None = None
 
     def __post_init__(self) -> None:
-        if self.magnitude < 0.0:
-            raise ValueError("force magnitude cannot be negative")
+        check_finite("force magnitude", self.magnitude, strict=False)
 
     @property
     def value(self) -> float:
@@ -95,17 +97,10 @@ class RatioCurve:
             raise ValueError("force ratios must be strictly positive")
 
 
-def _signed_force(result_magnitude_sign: float) -> tuple[float, bool]:
-    return abs(result_magnitude_sign), result_magnitude_sign < 0.0
-
-
 def _validate_point(a: float, T: float, R: float) -> None:
-    if not a > 0.0:
-        raise ValueError(f"separation a must be positive, got {a!r}")
-    if T < 0.0:
-        raise ValueError(f"temperature must be non-negative, got {T!r}")
-    if not R > 0.0:
-        raise ValueError(f"curvature radius R must be positive, got {R!r}")
+    check_finite("separation a", a)
+    check_finite("temperature", T, strict=False)
+    check_finite("curvature radius R", R)
 
 
 def force_perfect_simplified(
@@ -126,8 +121,7 @@ def force_perfect_simplified(
             "simplified PFA form degrades at this separation"
         )
     signed = 2.0 * math.pi * R * free_energy_pp(a, T, constants=constants).value
-    magnitude, attractive = _signed_force(signed)
-    return ForceResult(magnitude, attractive, ForceMethod.PERFECT_SIMPLIFIED,
+    return ForceResult(abs(signed), signed < 0.0, ForceMethod.PERFECT_SIMPLIFIED,
                        a, T, warning)
 
 
@@ -165,8 +159,26 @@ def force_perfect_full(
         - (R - D) * free_energy_pp(D + a, T, constants=constants).value
         - integral
     )
-    magnitude, attractive = _signed_force(signed)
-    return ForceResult(magnitude, attractive, ForceMethod.PERFECT_FULL, a, T)
+    return ForceResult(abs(signed), signed < 0.0, ForceMethod.PERFECT_FULL, a, T)
+
+
+def _two_term(
+    a: float, T: float, R: float, R1: float, D1: float,
+    constants: PhysicalConstants, *, pit: bool,
+) -> ForceResult:
+    """2 pi ((R - R1) F_rim + R1 F_cap), the bubble and pit closed forms.
+
+    A bubble's cap sits at gap a and its rim at a + D1; a pit swaps them.
+    """
+    _validate_point(a, T, R)
+    check_finite("imperfection radius R1", R1, strict=False)
+    check_finite("imperfection depth D1", D1, strict=False)
+    near = free_energy_pp(a, T, constants=constants).value
+    far = near if D1 == 0.0 else free_energy_pp(a + D1, T, constants=constants).value
+    rim, cap = (near, far) if pit else (far, near)
+    signed = 2.0 * math.pi * ((R - R1) * rim + R1 * cap)
+    method = ForceMethod.PIT if pit else ForceMethod.BUBBLE
+    return ForceResult(abs(signed), signed < 0.0, method, a, T)
 
 
 def force_bubble(
@@ -180,14 +192,7 @@ def force_bubble(
     Degenerate limits: R1 = R or D1 = 0 reproduce the simplified perfect
     form (the bubble sphere takes over the whole cap, or has no depth).
     """
-    _validate_point(a, T, R)
-    if R1 < 0.0 or D1 < 0.0:
-        raise ValueError("imperfection parameters must be non-negative")
-    near = free_energy_pp(a, T, constants=constants).value
-    far = near if D1 == 0.0 else free_energy_pp(a + D1, T, constants=constants).value
-    signed = 2.0 * math.pi * ((R - R1) * far + R1 * near)
-    magnitude, attractive = _signed_force(signed)
-    return ForceResult(magnitude, attractive, ForceMethod.BUBBLE, a, T)
+    return _two_term(a, T, R, R1, D1, constants, pit=False)
 
 
 def force_pit(
@@ -213,16 +218,9 @@ def force_pit(
 
     R1 = 0 (no pit) reproduces the simplified perfect form exactly.
     """
-    _validate_point(a, T, R)
-    if R1 < 0.0 or D1 < 0.0:
-        raise ValueError("imperfection parameters must be non-negative")
     if R1 >= R:
         raise ValueError("a pit requires R1 < R")
-    near = free_energy_pp(a, T, constants=constants).value
-    far = near if D1 == 0.0 else free_energy_pp(a + D1, T, constants=constants).value
-    signed = 2.0 * math.pi * ((R - R1) * near + R1 * far)
-    magnitude, attractive = _signed_force(signed)
-    return ForceResult(magnitude, attractive, ForceMethod.PIT, a, T)
+    return _two_term(a, T, R, R1, D1, constants, pit=True)
 
 
 def force_general(
@@ -283,8 +281,56 @@ def force_general(
             f"PFA quadrature reached {achieved / abs(signed):.3e} relative "
             f"error, above the requested {quad_tol:.3e}"
         )
-    magnitude, attractive = _signed_force(signed)
-    return ForceResult(magnitude, attractive, ForceMethod.GENERAL_QUADRATURE, a, T)
+    return ForceResult(abs(signed), signed < 0.0, ForceMethod.GENERAL_QUADRATURE, a, T)
+
+
+#: Each method's profile kind (None: every kind) and its call on (profile,
+#: a, T, constants, quadrature keywords); the calls look the force_* names
+#: up when they run.
+_METHODS = {
+    ForceMethod.GENERAL_QUADRATURE: (None, lambda p, a, T, c, q: (
+        force_general(p, a, T, constants=c, **q))),
+    ForceMethod.PERFECT_FULL: (LensKind.PERFECT, lambda p, a, T, c, q: (
+        force_perfect_full(a, T, p.R, p.D, constants=c, **q))),
+    ForceMethod.PERFECT_SIMPLIFIED: (LensKind.PERFECT, lambda p, a, T, c, q: (
+        force_perfect_simplified(a, T, p.R, constants=c))),
+    ForceMethod.BUBBLE: (LensKind.BUBBLE, lambda p, a, T, c, q: (
+        force_bubble(a, T, p.R, p.R1, p.D1, constants=c))),
+    ForceMethod.PIT: (LensKind.PIT, lambda p, a, T, c, q: (
+        force_pit(a, T, p.R, p.R1, p.D1, constants=c))),
+}
+
+#: The call of each profile kind's closed form, the default of ``force``.
+_CLOSED_FORMS = {LensKind.PERFECT: _METHODS[ForceMethod.PERFECT_SIMPLIFIED][1],
+                 LensKind.BUBBLE: _METHODS[ForceMethod.BUBBLE][1],
+                 LensKind.PIT: _METHODS[ForceMethod.PIT][1]}
+
+
+def force(
+    profile: LensProfile,
+    a: float,
+    T: float,
+    method: ForceMethod | str | None = None,
+    *,
+    tol: float | None = None,
+    constants: PhysicalConstants = SI,
+) -> ForceResult:
+    """Plate-lens force on ``profile`` at separation a and temperature T.
+
+    ``method`` (a ForceMethod or its label) defaults to the closed form for
+    the profile's kind.  Quadrature serves every kind; ``full`` and
+    ``simplified`` serve perfect lenses, ``bubble`` and ``pit`` their own
+    kind, and any other pairing is a ValueError.  ``tol`` reaches only the
+    two quadrature methods; None keeps their own default tolerances.
+    """
+    if method is None:
+        return _CLOSED_FORMS[profile.kind](profile, a, T, constants, {})
+    method = ForceMethod(method)
+    kind, formula = _METHODS[method]
+    if kind is not None and kind is not profile.kind:
+        raise ValueError(f"method {method.value!r} applies to {kind.value} profiles, "
+                         f"not {profile.kind.value}")
+    return formula(profile, a, T, constants, {} if tol is None else {"quad_tol": tol})
 
 
 def ratio_curve(
@@ -296,20 +342,13 @@ def ratio_curve(
 ) -> RatioCurve:
     """Force ratio imperfect lens / perfect lens over a separation grid.
 
-    The reference denominator is the simplified perfect form with the same
-    curvature radius R.
+    Both are ``force``'s default closed forms; the reference denominator is
+    the simplified perfect form with the same curvature radius R.
     """
     if profile.kind is LensKind.PERFECT:
         raise ValueError("ratio curves are defined for imperfect profiles only")
+    perfect = LensProfile.perfect(profile.R, profile.D)
     grid = tuple(float(s) for s in separations)
-    ratios = []
-    for a in grid:
-        if profile.kind is LensKind.BUBBLE:
-            numerator = force_bubble(a, T, profile.R, profile.R1, profile.D1,
-                                     constants=constants)
-        else:
-            numerator = force_pit(a, T, profile.R, profile.R1, profile.D1,
-                                  constants=constants)
-        denominator = force_perfect_simplified(a, T, profile.R, constants=constants)
-        ratios.append(numerator.value / denominator.value)
+    ratios = [force(profile, a, T, constants=constants).value
+              / force(perfect, a, T, constants=constants).value for a in grid]
     return RatioCurve(separations=grid, ratios=tuple(ratios), profile=profile)

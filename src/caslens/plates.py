@@ -29,10 +29,11 @@ dedicated code path returns the standard zero-temperature results
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import SI, PhysicalConstants
 from .exceptions import ConvergenceError, QuadratureError, SlowConvergenceError
+from .exceptions import check_finite
 from .quadrature import integrate
 
 #: Riemann zeta(3) (Apery's constant), to full double precision.
@@ -61,28 +62,11 @@ def tau(z: float, T: float, *, constants: PhysicalConstants = SI) -> float:
     Every kernel entry point goes through here, so this is where a NaN or
     infinite z or T is refused, before any series starts.
     """
-    if not 0.0 < z < math.inf:
-        raise ValueError(f"separation must be positive and finite, got {z!r}")
-    if not 0.0 <= T < math.inf:
-        raise ValueError(f"temperature must be non-negative and finite, got {T!r}")
+    check_finite("separation", z)
+    check_finite("temperature", T, strict=False)
     return 4.0 * math.pi * z * constants.boltzmann * T / (
         constants.reduced_planck * constants.light_speed
     )
-
-
-@dataclass(frozen=True)
-class ThermalPoint:
-    """A (separation, temperature) evaluation point.
-
-    ``tau`` is always recomputed from z and T, never user-supplied.
-    """
-
-    z: float
-    T: float
-    tau: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", tau(self.z, self.T))
 
 
 @dataclass(frozen=True)
@@ -132,6 +116,8 @@ def _series_bracket(tau_z: float) -> tuple[float, int]:
     bracket; exceeding MAX_SERIES_TERMS raises instead of truncating.
     """
     bracket = 0.5 * ZETA3
+    if math.exp(-tau_z) == 0.0:  # every term is 0; tau may be inf
+        return bracket, 1
     for n in range(1, MAX_SERIES_TERMS + 1):
         x = math.exp(-tau_z * n)
         one_minus = 1.0 - x
@@ -157,17 +143,24 @@ def free_energy_pp(
     points the caller at the asymptote or the brute-force oracle.
     """
     t = tau(z, T, constants=constants)
-    if T == 0.0:
-        value = _zero_temperature_free_energy(z, constants)
-        return FreeEnergyAreal(value=value, bracket=math.inf, terms_used=0)
-    if t < TAU_MIN:
+    if T != 0.0 and t < TAU_MIN:
         raise SlowConvergenceError(
             f"tau={t:.3e} is below {TAU_MIN}; use the zero-temperature "
             "asymptote or free_energy_pp_oracle instead of the closed series"
         )
-    bracket, terms = _series_bracket(t)
-    prefactor = constants.boltzmann * T / (4.0 * math.pi * z * z)
-    return FreeEnergyAreal(value=-prefactor * bracket, bracket=bracket, terms_used=terms)
+    try:
+        if T == 0.0:
+            value = _zero_temperature_free_energy(z, constants)
+            bracket, terms = math.inf, 0
+        else:
+            bracket, terms = _series_bracket(t)
+            prefactor = constants.boltzmann * T / (4.0 * math.pi * z * z)
+            value = -prefactor * bracket
+    except ArithmeticError:  # a power of z overflowed, or underflowed to 0
+        value = 0.0
+    if not -math.inf < value < 0.0:
+        raise ValueError(f"separation {z!r} m puts F_pp outside the float range")
+    return FreeEnergyAreal(value=value, bracket=bracket, terms_used=terms)
 
 
 def _pressure_bracket(tau_z: float) -> tuple[float, int]:
@@ -183,6 +176,8 @@ def _pressure_bracket(tau_z: float) -> tuple[float, int]:
     so every term stays positive and the same truncation rule applies.
     """
     bracket = ZETA3
+    if math.exp(-tau_z) == 0.0:  # every term is 0; tau^2 may be inf
+        return bracket, 1
     tau_sq = tau_z * tau_z
     for n in range(1, MAX_SERIES_TERMS + 1):
         x = math.exp(-tau_z * n)
@@ -208,15 +203,22 @@ def pressure_pp(z: float, T: float, *, constants: PhysicalConstants = SI) -> flo
     Negative for all valid inputs (the plates attract).
     """
     t = tau(z, T, constants=constants)
-    if T == 0.0:
-        return _zero_temperature_pressure(z, constants)
-    if t < TAU_MIN:
+    if T != 0.0 and t < TAU_MIN:
         raise SlowConvergenceError(
             f"tau={t:.3e} is below {TAU_MIN}; use the zero-temperature "
             "asymptote or differentiate free_energy_pp_oracle instead"
         )
-    bracket, _ = _pressure_bracket(t)
-    return -constants.boltzmann * T / (4.0 * math.pi * z**3) * bracket
+    try:
+        if T == 0.0:
+            value = _zero_temperature_pressure(z, constants)
+        else:
+            bracket, _ = _pressure_bracket(t)
+            value = -constants.boltzmann * T / (4.0 * math.pi * z**3) * bracket
+    except ArithmeticError:  # a power of z overflowed, or underflowed to 0
+        value = 0.0
+    if not -math.inf < value < 0.0:
+        raise ValueError(f"separation {z!r} m puts P_pp outside the float range")
+    return value
 
 
 def _momentum_integrand(y: float) -> float:

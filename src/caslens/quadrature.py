@@ -22,7 +22,7 @@ import sys
 from operator import mul
 from typing import Callable
 
-from .exceptions import QuadratureError
+from .exceptions import QuadratureError, check_finite
 
 #: Tightest relative tolerance the rule is asked for; the per-panel error
 #: floor of 50 machine epsilons makes anything tighter unreachable.
@@ -105,11 +105,12 @@ def integrate(
 ) -> tuple[float, float, int]:
     """Integral of f over [a, b] by adaptive 21-point Gauss-Kronrod.
 
-    ``b`` may be ``math.inf``.  ``rel_tol`` is raised to MIN_REL_TOL.
-    Returns (value, absolute error estimate, evaluations of f).  Raises
-    QuadratureError when LIMIT subintervals do not reach the tolerance.
+    ``b`` may be ``math.inf``.  ``rel_tol`` must be positive and finite
+    (ValueError otherwise) and is raised to MIN_REL_TOL.  Returns (value,
+    absolute error estimate, evaluations of f).  Raises QuadratureError
+    when LIMIT subintervals do not reach the tolerance.
     """
-    rel_tol = max(rel_tol, MIN_REL_TOL)
+    rel_tol = max(check_finite("rel_tol", rel_tol), MIN_REL_TOL)
     g, lo, hi = f, a, b
     if b == math.inf:
         def g(t: float) -> float:

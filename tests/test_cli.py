@@ -207,6 +207,33 @@ def test_unattainable_quadrature_tolerance_exit_code(capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["quadrature", "full"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+def test_bad_tolerance_is_usage_error(capsys, method, tol):
+    code = main(["force", "--method", method, "--R", "15cm", "--a-list", "1um",
+                 "--tol", tol])
+    assert code == 1
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, separation", [
+    (["fpp", "--a-list", "1e-300", "--T", "0"], "1e-300"),
+    (["pressure", "--a-list", "1e-200", "--T", "0"], "1e-200"),
+    (["force", "--R", "15cm", "--a-list", "1e-120", "--T", "0"], "1e-120"),
+    (["fpp", "--a-list", "1e200", "--T", "0"], "1e+200"),
+    (["pressure", "--a-list", "1e100", "--T", "0"], "1e+100"),
+    (["pressure", "--a-list", "1e200", "--T", "300"], "1e+200"),
+    (["fpp", "--a-list", "1e200", "--T", "300"], "1e+200"),
+])
+def test_separation_outside_the_float_range_is_usage_error(capsys, argv, separation):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: separation {separation} m puts {'P' if argv[0] == 'pressure' else 'F'}"
+        "_pp outside the float range"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_combine_errors_rejects_non_finite_value(tmp_path, capsys, value):
     budget = tmp_path / "budget.cfg"
@@ -296,6 +323,25 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["fpp", "--a-list", "1um", "--T", "300",
                  "--out", str(direct)]) == 0
     assert from_config.read_bytes() == direct.read_bytes()
+
+
+def test_config_file_accepts_underscore_keys(tmp_path, capsys):
+    listed = tmp_path / "list.cfg"
+    listed.write_text("a_list = 1um,2um\n", encoding="utf-8")
+    ranged = tmp_path / "range.cfg"
+    ranged.write_text("a_start = 1um\na_stop = 2um\na_step = 1um\n", encoding="utf-8")
+    assert main(["fpp", "--a-list", "1um,2um"]) == 0
+    direct = capsys.readouterr().out
+    for config in (listed, ranged):
+        assert main(["fpp", "--config", str(config)]) == 0
+        assert capsys.readouterr().out == direct
+    lens = tmp_path / "lens.cfg"
+    lens.write_text("profile = bubble\nR = 15cm\nR1 = 25cm\nD1 = 0.5um\n"
+                    "delta_R = 0.1um\n", encoding="utf-8")
+    assert main(["validate-lens", "--config", str(lens)]) == 0
+    out = capsys.readouterr().out
+    assert "curvature tolerance 1.0e-07 m" in out
+    assert "overall: FAIL" in out
 
 
 def test_zero_length_grid_yields_header_only(tmp_path):

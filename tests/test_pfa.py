@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from caslens import (
+    TAU_MIN,
     ForceMethod,
     ForceResult,
+    LensKind,
     LensProfile,
     RatioCurve,
+    force,
     force_bubble,
     force_general,
     force_perfect_full,
@@ -19,6 +23,7 @@ from caslens import (
     free_energy_pp,
     lateral_extent,
     ratio_curve,
+    tau,
 )
 
 R_BENCH = 0.15
@@ -200,3 +205,42 @@ def test_force_result_validation():
 def test_method_labels_are_stable():
     assert {m.value for m in ForceMethod} == {
         "quadrature", "full", "simplified", "bubble", "pit"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(LensKind),
+    R=st.floats(min_value=0.01, max_value=1.0),
+    a=st.floats(min_value=0.1e-6, max_value=10.0e-6),
+    T=st.floats(min_value=1.0, max_value=1000.0),
+    radius=st.floats(min_value=0.05, max_value=0.95),
+    depth=st.floats(min_value=1.0e-3, max_value=0.9),
+)
+def test_force_defaults_to_the_closed_form_of_the_profile_kind(kind, R, a, T, radius, depth):
+    assume(tau(a, T) >= TAU_MIN)
+    R1, D1 = radius * R, depth * 1.0e-3 * R
+    if kind is LensKind.PERFECT:
+        profile = LensProfile.perfect(R)
+        expected = force_perfect_simplified(a, T, R)
+    elif kind is LensKind.BUBBLE:
+        profile = LensProfile.bubble(R, R1, D1)
+        expected = force_bubble(a, T, R, R1, D1)
+    else:
+        profile = LensProfile.pit(R, R1, D1)
+        expected = force_pit(a, T, R, R1, D1)
+    result = force(profile, a, T)
+    assert math.isfinite(result.value) and result.value < 0.0 and result.attractive
+    assert result == expected
+    assert result.magnitude.hex() == expected.magnitude.hex()
+
+
+@pytest.mark.parametrize("profile, method", [
+    (BUBBLE_WIDE, "pit"),
+    (BUBBLE_WIDE, "full"),
+    (PIT_CASE, "bubble"),
+    (PIT_CASE, "simplified"),
+    (LensProfile.perfect(R_BENCH), "bubble"),
+])
+def test_force_method_must_serve_the_profile_kind(profile, method):
+    with pytest.raises(ValueError, match=method):
+        force(profile, 1.0e-6, T_BENCH, method)

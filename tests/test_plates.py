@@ -1,6 +1,7 @@
 """Plate free energy and pressure: closed series against independent checks."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -12,7 +13,6 @@ from caslens import (
     ConvergenceError,
     FreeEnergyAreal,
     SlowConvergenceError,
-    ThermalPoint,
     free_energy_pp,
     free_energy_pp_oracle,
     matsubara_term,
@@ -79,11 +79,21 @@ def test_non_finite_inputs_are_domain_errors(kernel, z, T):
     assert time.perf_counter() - start < 0.05
 
 
-def test_thermal_point_recomputes_tau():
-    point = ThermalPoint(z=1.0e-6, T=300.0)
-    assert point.tau == tau(1.0e-6, 300.0)
-    with pytest.raises(ValueError):
-        ThermalPoint(z=-1.0e-6, T=300.0)
+@pytest.mark.parametrize("kernel, z, T", [
+    (free_energy_pp, 1.0e-300, 0.0),
+    (pressure_pp, 1.0e-200, 0.0),
+    (free_energy_pp, 1.0e200, 0.0),
+    (pressure_pp, 1.0e100, 0.0),
+    (free_energy_pp, 1.0e200, 300.0),
+    (pressure_pp, 1.0e200, 300.0),
+])
+def test_separation_outside_the_float_range_is_a_domain_error(kernel, z, T):
+    # z**3 or z**4 overflows or underflows to 0; at 1e200 m and 300 K tau^2
+    # overflows, which would otherwise feed NaN terms to the pressure series.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"separation {z!r} m")):
+        kernel(z, T)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_free_energy_reference_values():
