@@ -15,7 +15,6 @@ from .exceptions import (
     DegenerateImperfectionError,
     NumericalError,
     QuadratureError,
-    SlowConvergenceError,
     TableLookupError,
 )
 from .lens import (
@@ -54,7 +53,6 @@ from .pfa import (
     ratio_curve,
 )
 from .plates import (
-    TAU_MIN,
     ZETA3,
     FreeEnergyAreal,
     free_energy_pp,
@@ -78,7 +76,6 @@ __all__ = [
     "DegenerateImperfectionError",
     "NumericalError",
     "QuadratureError",
-    "SlowConvergenceError",
     "TableLookupError",
     "FOOTPRINT_DIAMETER_MAX",
     "FOOTPRINT_DIAMETER_MIN",
@@ -109,7 +106,6 @@ __all__ = [
     "force_perfect_simplified",
     "force_pit",
     "ratio_curve",
-    "TAU_MIN",
     "ZETA3",
     "FreeEnergyAreal",
     "free_energy_pp",

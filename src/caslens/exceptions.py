@@ -15,15 +15,6 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed to reach its requested accuracy."""
 
 
-class SlowConvergenceError(NumericalError):
-    """The series parameter is below the supported range.
-
-    Raised when the dimensionless thermal parameter is too small for the
-    closed series to converge in a reasonable number of terms; callers
-    should use the zero-temperature asymptote or the brute-force sum.
-    """
-
-
 class ConvergenceError(NumericalError):
     """A truncated sum did not converge within its term budget."""
 

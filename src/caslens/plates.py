@@ -1,29 +1,45 @@
 """Thermal Casimir free energy and pressure between parallel ideal-metal plates.
 
 For two plane-parallel ideal-metal plates at separation z and temperature T
-the free energy per unit area is
+the free energy per unit area and the pressure are
 
-    F_pp(z, T) = - (k_B T / (4 pi z^2)) * bracket(tau)
+    F_pp(z, T) = - (k_B T / (4 pi z^2)) * B(tau)
+               = - (pi^2 hbar c / (720 z^3)) * f(tau),   f = 45 tau B / pi^4
 
-    bracket(tau) = zeta(3)/2
-                 + sum_{n>=1} e^(-tau n) / (n^2 (1 - e^(-tau n)))
-                                 * (1/n + tau / (1 - e^(-tau n)))
+    P_pp(z, T) = - dF_pp/dz
+               = - (k_B T / (4 pi z^3)) * (2B - tau B')(tau)
+               = - (pi^2 hbar c / (240 z^4)) * p(tau),   p = 15 tau (2B - tau B') / pi^4
 
 with the dimensionless thermal parameter
 
     tau = 4 pi z k_B T / (hbar c).
 
-The pressure is the negative separation derivative of F_pp, differentiated
-term by term (tau itself depends on z).  A brute-force cross-check sums the
-thermal (Matsubara) series directly, integrating each term numerically over
-the dimensionless momentum variable y; it shares no code with the closed
-series and is kept deliberately independent.
+Both brackets come from one function and its logarithmic derivatives
+(D = tau d/dtau):
 
-At tau >> 1 the bracket approaches zeta(3)/2 (classical limit); at T = 0 a
-dedicated code path returns the standard zero-temperature results
+    S(tau) = zeta(3)/2 + sum_{n>=1} x / (n^3 (1 - x)),   x = e^(-n tau)
+    B      = S - DS
+    2B - tau B' = 2S - 3DS + D^2 S.
+
+One loop sums S, DS and D^2 S at an argument of at least 2 pi.  For
+tau >= 2 pi that argument is tau itself.  Below 2 pi it is the dual
+parameter sigma = 4 pi^2 / tau, through Ramanujan's zeta(3) formula
+(Berndt, Ramanujan's Notebooks II, Entry 21(i)):
+
+    S(tau) = -(tau^2 / 4 pi^2) S(sigma) + tau^3/1440 + pi^2 tau/72 + pi^4/(90 tau)
+
+on which D acts as -sigma d/dsigma.  T = 0 is the point sigma = inf of the
+dual form, where every term vanishes and f = p = 1 exactly: the standard
+zero-temperature results
 
     F_pp(z, 0) = - pi^2 hbar c / (720 z^3)
     P_pp(z, 0) = - pi^2 hbar c / (240 z^4).
+
+At tau >> 1 the bracket B approaches zeta(3)/2 (classical limit).  A
+brute-force cross-check sums the thermal (Matsubara) series directly,
+integrating each term numerically over the dimensionless momentum
+variable y; it shares no code with the closed series and is kept
+deliberately independent.
 """
 
 from __future__ import annotations
@@ -32,22 +48,21 @@ import math
 from dataclasses import dataclass
 
 from .constants import SI, PhysicalConstants
-from .exceptions import ConvergenceError, QuadratureError, SlowConvergenceError
+from .exceptions import ConvergenceError, QuadratureError
 from .exceptions import check_finite
 from .quadrature import integrate
 
 #: Riemann zeta(3) (Apery's constant), to full double precision.
 ZETA3 = 1.2020569031595943
 
-#: Smallest thermal parameter the closed series accepts.  Below this the
-#: term count explodes; use the zero-temperature asymptote or the oracle.
-TAU_MIN = 1.0e-3
+_TWO_PI = 2.0 * math.pi
+_FOUR_PI_SQ = 4.0 * math.pi**2
+_F_NORM = 45.0 / math.pi**4  # f = _F_NORM * tau * B
+_P_NORM = 15.0 / math.pi**4  # p = _P_NORM * tau * (2B - tau B')
 
-#: Relative size at which a series term stops the summation.
-SERIES_TERM_CUTOFF = 1.0e-12
-
-#: Hard cap on summed terms (protects the small-tau corner).
-MAX_SERIES_TERMS = 10**6
+#: Bound on the remainder of each summed moment S, DS and D^2 S at which
+#: the loop stops.  S >= zeta(3)/2, so it is below 2e-18 relative.
+_TAIL_BOUND = 1.0e-18
 
 #: Lower integration limits at or above this value use the two-term
 #: analytic tail of the momentum integral; the neglected remainder is
@@ -74,9 +89,8 @@ class FreeEnergyAreal:
     """Free energy per unit plate area.
 
     value       J/m^2, negative (attraction) for every valid input
-    bracket     the dimensionless bracket multiplying -k_B T/(4 pi z^2);
-                +inf on the zero-temperature path where the bracket
-                representation degenerates
+    bracket     the dimensionless bracket B multiplying -k_B T/(4 pi z^2);
+                +inf at T = 0, where that representation degenerates
     terms_used  number of series terms (or thermal-sum indices) evaluated
     """
 
@@ -95,40 +109,60 @@ class FreeEnergyAreal:
             raise ValueError("terms_used must be non-negative")
 
 
-def _zero_temperature_free_energy(z: float, constants: PhysicalConstants) -> float:
-    # F_pp(z, 0) = - pi^2 hbar c / (720 z^3)
-    return -(math.pi**2) * constants.reduced_planck * constants.light_speed / (
-        720.0 * z**3
-    )
+def _moments(a: float) -> tuple[float, float, float, int]:
+    """S, DS and D^2 S at a >= 2 pi (D = a d/da), and the terms summed.
 
+    With u = n a, x = e^(-u) and w = 1/(1 - x), term n of the three sums is
 
-def _zero_temperature_pressure(z: float, constants: PhysicalConstants) -> float:
-    # P_pp(z, 0) = - pi^2 hbar c / (240 z^4)
-    return -(math.pi**2) * constants.reduced_planck * constants.light_speed / (
-        240.0 * z**4
-    )
+        m0 = x w / n^3,   -m1 = -u w m0,   m2 - m1 = (u (1 + x) w - 1) m1.
 
-
-def _series_bracket(tau_z: float) -> tuple[float, int]:
-    """Sum the closed-series bracket at the given thermal parameter.
-
-    Terms are added until one falls below SERIES_TERM_CUTOFF of the running
-    bracket; exceeding MAX_SERIES_TERMS raises instead of truncating.
+    For a >= 2 pi, u w >= 1, so m0 <= m1 <= m2; each of m0, m1, m2 shrinks
+    at least by q = e^(-a) from one n to the next.  The remainder of every
+    moment after term n is therefore at most m2 q / (1 - q), and the loop
+    stops once that drops below _TAIL_BOUND (at most 6 terms).
     """
-    bracket = 0.5 * ZETA3
-    if math.exp(-tau_z) == 0.0:  # every term is 0; tau may be inf
-        return bracket, 1
-    for n in range(1, MAX_SERIES_TERMS + 1):
-        x = math.exp(-tau_z * n)
-        one_minus = 1.0 - x
-        term = x / (n * n * one_minus) * (1.0 / n + tau_z / one_minus)
-        bracket += term
-        if term < SERIES_TERM_CUTOFF * bracket:
-            return bracket, n
-    raise ConvergenceError(
-        f"free-energy series did not converge within {MAX_SERIES_TERMS} terms "
-        f"at tau={tau_z!r}"
-    )
+    q = math.exp(-a)
+    ratio = q / (1.0 - q)
+    s0, s1, s2 = 0.5 * ZETA3, 0.0, 0.0
+    n, x = 0, q
+    while x > 0.0:  # 0 once e^(-a) underflows, as at a = inf (T = 0, dual side)
+        n += 1
+        u = n * a
+        w = 1.0 / (1.0 - x)
+        m0 = x * w / (n * n * n)
+        m1 = u * w * m0
+        m2 = u * (1.0 + x) * w * m1
+        s0 += m0
+        s1 += m1
+        s2 += m2
+        if m2 * ratio <= _TAIL_BOUND:
+            break
+        x *= q
+    return s0, -s1, s2 - s1, n
+
+
+def _plate_kernel(t: float) -> tuple[float, float, float, int]:
+    """f(tau), p(tau), B(tau) and the terms summed, for every tau >= 0.
+
+    f and p are F_pp and P_pp in units of their zero-temperature values.
+    """
+    if t >= _TWO_PI:
+        s0, s1, s2, terms = _moments(t)
+        bracket = s0 - s1
+        f = _F_NORM * t * bracket
+        p = _P_NORM * t * (2.0 * s0 - 3.0 * s1 + s2)
+        return f, p, bracket, terms
+    # Dual side.  With S, DS and D^2 S now the moments at sigma (where D is
+    # sigma d/dsigma, and tau d/dtau = -D), the duality gives
+    #   tau B             = pi^4/45 + tau^3 [(S - DS)/(4 pi^2) - tau/720]
+    #   tau (2B - tau B') = pi^4/15 + tau^3 [(DS - D^2 S)/(4 pi^2) + tau/720].
+    sigma = _FOUR_PI_SQ / t if t > 0.0 else math.inf
+    s0, s1, s2, terms = _moments(sigma)
+    t3 = t * t * t
+    f = 1.0 + _F_NORM * t3 * ((s0 - s1) / _FOUR_PI_SQ - t / 720.0)
+    p = 1.0 + _P_NORM * t3 * ((s1 - s2) / _FOUR_PI_SQ + t / 720.0)
+    # B = pi^4 f / (45 tau), with 1/tau = sigma / (4 pi^2); +inf at T = 0.
+    return f, p, math.pi**2 / 180.0 * sigma * f, terms
 
 
 def free_energy_pp(
@@ -136,26 +170,15 @@ def free_energy_pp(
 ) -> FreeEnergyAreal:
     """Free energy per unit area of two parallel ideal-metal plates.
 
-        F_pp(z, T) = - (k_B T / (4 pi z^2)) * bracket(tau)
+        F_pp(z, T) = - (pi^2 hbar c / (720 z^3)) * f(tau)
 
-    T = 0 is served by the dedicated zero-temperature path.  For 0 < tau <
-    TAU_MIN the closed series converges too slowly and a SlowConvergenceError
-    points the caller at the asymptote or the brute-force oracle.
+    Valid for every T >= 0; at T = 0, f = 1 exactly and the bracket is +inf.
     """
-    t = tau(z, T, constants=constants)
-    if T != 0.0 and t < TAU_MIN:
-        raise SlowConvergenceError(
-            f"tau={t:.3e} is below {TAU_MIN}; use the zero-temperature "
-            "asymptote or free_energy_pp_oracle instead of the closed series"
-        )
+    f, _, bracket, terms = _plate_kernel(tau(z, T, constants=constants))
     try:
-        if T == 0.0:
-            value = _zero_temperature_free_energy(z, constants)
-            bracket, terms = math.inf, 0
-        else:
-            bracket, terms = _series_bracket(t)
-            prefactor = constants.boltzmann * T / (4.0 * math.pi * z * z)
-            value = -prefactor * bracket
+        value = -(math.pi**2) * constants.reduced_planck * constants.light_speed / (
+            720.0 * z**3
+        ) * f
     except ArithmeticError:  # a power of z overflowed, or underflowed to 0
         value = 0.0
     if not -math.inf < value < 0.0:
@@ -163,57 +186,18 @@ def free_energy_pp(
     return FreeEnergyAreal(value=value, bracket=bracket, terms_used=terms)
 
 
-def _pressure_bracket(tau_z: float) -> tuple[float, int]:
-    """Sum the pressure bracket 2*bracket(tau) - tau*bracket'(tau).
-
-    Differentiating each free-energy term in tau collapses to
-
-        zeta(3) + sum_{n>=1} [ 2 e^(-tau n) / (n^2 (1-e^(-tau n)))
-                                   * (1/n + tau/(1-e^(-tau n)))
-                               + tau^2 e^(-tau n) (1 + e^(-tau n))
-                                   / (n (1-e^(-tau n))^3) ]
-
-    so every term stays positive and the same truncation rule applies.
-    """
-    bracket = ZETA3
-    if math.exp(-tau_z) == 0.0:  # every term is 0; tau^2 may be inf
-        return bracket, 1
-    tau_sq = tau_z * tau_z
-    for n in range(1, MAX_SERIES_TERMS + 1):
-        x = math.exp(-tau_z * n)
-        one_minus = 1.0 - x
-        energy_part = 2.0 * x / (n * n * one_minus) * (1.0 / n + tau_z / one_minus)
-        slope_part = tau_sq * x * (1.0 + x) / (n * one_minus**3)
-        term = energy_part + slope_part
-        bracket += term
-        if term < SERIES_TERM_CUTOFF * bracket:
-            return bracket, n
-    raise ConvergenceError(
-        f"pressure series did not converge within {MAX_SERIES_TERMS} terms "
-        f"at tau={tau_z!r}"
-    )
-
-
 def pressure_pp(z: float, T: float, *, constants: PhysicalConstants = SI) -> float:
     """Casimir pressure between parallel ideal-metal plates, in N/m^2.
 
-        P_pp(z, T) = - dF_pp/dz
-                   = - (k_B T / (4 pi z^3)) * [2 bracket(tau) - tau bracket'(tau)]
+        P_pp(z, T) = - dF_pp/dz = - (pi^2 hbar c / (240 z^4)) * p(tau)
 
     Negative for all valid inputs (the plates attract).
     """
-    t = tau(z, T, constants=constants)
-    if T != 0.0 and t < TAU_MIN:
-        raise SlowConvergenceError(
-            f"tau={t:.3e} is below {TAU_MIN}; use the zero-temperature "
-            "asymptote or differentiate free_energy_pp_oracle instead"
-        )
+    _, p, _, _ = _plate_kernel(tau(z, T, constants=constants))
     try:
-        if T == 0.0:
-            value = _zero_temperature_pressure(z, constants)
-        else:
-            bracket, _ = _pressure_bracket(t)
-            value = -constants.boltzmann * T / (4.0 * math.pi * z**3) * bracket
+        value = -(math.pi**2) * constants.reduced_planck * constants.light_speed / (
+            240.0 * z**4
+        ) * p
     except ArithmeticError:  # a power of z overflowed, or underflowed to 0
         value = 0.0
     if not -math.inf < value < 0.0:
@@ -303,10 +287,13 @@ def free_energy_pp_oracle(
         raise ValueError("the brute-force sum requires T > 0; "
                          "free_energy_pp handles T = 0 directly")
     t = tau(z, T, constants=constants)
-    total = 0.5 * _momentum_integral(0.0, quad_tol)
-    terms = 1
     x = math.exp(-t)
     one_minus_x = 1.0 - x
+    if one_minus_x == 0.0:
+        raise ValueError(f"tau={t!r} is too small for the thermal sum: "
+                         "1 - e^(-tau) rounds to 0")
+    total = 0.5 * _momentum_integral(0.0, quad_tol)
+    terms = 1
     for l in range(1, l_max + 1):
         total += _momentum_integral(t * l, quad_tol)
         terms += 1

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: CSV output, exit codes, overrides."""
 
+import math
 import os
 import subprocess
 import sys
@@ -193,10 +194,27 @@ def test_validate_lens_flags_bad_footprint(capsys):
     assert "overall: FAIL" in out
 
 
-def test_numerical_failure_exit_code(capsys):
+def test_low_temperature_nanometre_gap_exit_code(capsys):
+    # tau = 5.5e-9: the dual series serves it, and F_pp is the T = 0 value.
+    z = 1.0e-9
     code = main(["fpp", "--a-list", "1nm", "--T", "0.01"])
-    assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert code == 0
+    expected = -math.pi**2 * caslens.SI.reduced_planck * caslens.SI.light_speed / (
+        720.0 * z**3)
+    assert abs(free_energy_pp(z, 0.01).value / expected - 1.0) <= 1.0e-12
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["z_m,fpp_J_per_m2", f"{z:.11e},{expected:.11e}"]
+
+
+def test_low_temperature_force_exit_code(capsys):
+    # tau = 5.5e-4, on the dual side of the plate kernel.
+    code = main(["force", "--profile", "perfect", "--R", "15cm",
+                 "--a-list", "0.1um", "--T", "1"])
+    assert code == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "a_m,F_N,method"
+    magnitude = float(row.split(",")[1])
+    assert math.isfinite(magnitude) and magnitude > 0.0
 
 
 def test_unattainable_quadrature_tolerance_exit_code(capsys):

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from caslens import (
-    TAU_MIN,
     ForceMethod,
     ForceResult,
     LensKind,
@@ -23,7 +22,6 @@ from caslens import (
     free_energy_pp,
     lateral_extent,
     ratio_curve,
-    tau,
 )
 
 R_BENCH = 0.15
@@ -217,7 +215,6 @@ def test_method_labels_are_stable():
     depth=st.floats(min_value=1.0e-3, max_value=0.9),
 )
 def test_force_defaults_to_the_closed_form_of_the_profile_kind(kind, R, a, T, radius, depth):
-    assume(tau(a, T) >= TAU_MIN)
     R1, D1 = radius * R, depth * 1.0e-3 * R
     if kind is LensKind.PERFECT:
         profile = LensProfile.perfect(R)

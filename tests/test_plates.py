@@ -12,7 +12,6 @@ from caslens import (
     SI,
     ConvergenceError,
     FreeEnergyAreal,
-    SlowConvergenceError,
     free_energy_pp,
     free_energy_pp_oracle,
     matsubara_term,
@@ -21,7 +20,7 @@ from caslens import (
 )
 from caslens import plates
 from caslens.exceptions import QuadratureError
-from caslens.plates import TAU_MIN, ZETA3
+from caslens.plates import ZETA3
 
 # Reference values frozen from independent evaluations (brute-force thermal
 # sum and central finite differences); see tests below for the live checks.
@@ -32,10 +31,61 @@ RATIO_15_TO_10 = 0.3122809987126108
 RATIO_20_TO_10 = 0.14314291665040776
 PRESSURE_15UM_300K = -2.5885727556211027e-4
 
+#: Stated accuracy of free_energy_pp and pressure_pp against a 30-digit
+#: reference, relative, for every tau >= 0.
+KERNEL_REL_BOUND = 2.0e-15
+
+#: log-spaced over [1e-8, 1e3], plus both sides of the switch at 2 pi.
+TAU_GRID = [*np.logspace(-8.0, 3.0, 12),
+            2.0 * math.pi * (1.0 - 1.0e-12), 2.0 * math.pi * (1.0 + 1.0e-12)]
+
 
 def temperature_for_tau(z, target):
     """Temperature at which tau(z, T) equals the requested value."""
     return target / tau(z, 1.0)
+
+
+def euler_maclaurin_sum(mp, g, N=16, K=14):
+    """sum_{n>=1} g(n) in mpmath: the terms below N directly, the rest by
+    Euler-Maclaurin (integral, half end term, K derivative corrections)."""
+    head = mp.fsum(g(n) for n in range(1, N))
+    tail = mp.quad(g, [N, 2 * N, mp.inf]) + g(N) / 2
+    derivatives = list(mp.diffs(g, N, 2 * K))
+    for k in range(1, K + 1):
+        tail -= mp.bernoulli(2 * k) / mp.factorial(2 * k) * derivatives[2 * k - 1]
+    return head + tail
+
+
+def mpmath_plates(mp, z, T):
+    """F_pp and P_pp at 30 digits, summing the direct series in tau.
+
+    No dual form is used, so the kernel's representation below 2 pi is
+    checked against the series it replaces."""
+    with mp.workdps(30):
+        t = mp.mpf(tau(z, T))
+
+        def energy_term(n):
+            u = n * t
+            x = mp.exp(-u)
+            w = 1 / (1 - x)
+            return x * w * (1 + u * w) / n**3
+
+        def pressure_term(n):
+            u = n * t
+            x = mp.exp(-u)
+            w = 1 / (1 - x)
+            return x * w * (2 + 2 * u * w + u * u * (1 + x) * w * w) / n**3
+
+        bracket = mp.zeta(3) / 2 + euler_maclaurin_sum(mp, energy_term)
+        pressure_bracket = mp.zeta(3) + euler_maclaurin_sum(mp, pressure_term)
+        hbar_c = mp.mpf(SI.reduced_planck) * mp.mpf(SI.light_speed)
+        z = mp.mpf(z)
+        return (-t * hbar_c * bracket / (16 * mp.pi**2 * z**3),
+                -t * hbar_c * pressure_bracket / (16 * mp.pi**2 * z**4))
+
+
+def relative_error(value, reference):
+    return float(abs(value / reference - 1))
 
 
 def test_tau_reference_point():
@@ -100,7 +150,8 @@ def test_free_energy_reference_values():
     result = free_energy_pp(1.0e-6, 300.0)
     assert_allclose(result.value, F_1UM_300K, rtol=1.0e-12)
     assert_allclose(result.bracket, BRACKET_1UM_300K, rtol=1.0e-12)
-    assert result.terms_used == 14
+    # terms_used counts work, not accuracy: the kernel sums at most 6 terms.
+    assert 1 <= result.terms_used <= 6
 
 
 def test_free_energy_separation_ratios():
@@ -147,13 +198,38 @@ def test_zero_temperature_dedicated_path():
     assert result.terms_used == 0
 
 
-def test_slow_convergence_guard():
+def assert_kernel_matches_mpmath(target):
+    mp = pytest.importorskip("mpmath")
     z = 1.0e-6
-    T = temperature_for_tau(z, 0.999 * TAU_MIN)
-    with pytest.raises(SlowConvergenceError):
-        free_energy_pp(z, T)
-    with pytest.raises(SlowConvergenceError):
-        pressure_pp(z, T)
+    T = temperature_for_tau(z, target)
+    reference_f, reference_p = mpmath_plates(mp, z, T)
+    result = free_energy_pp(z, T)
+    assert result.terms_used <= 6
+    assert relative_error(result.value, reference_f) <= KERNEL_REL_BOUND
+    assert relative_error(pressure_pp(z, T), reference_p) <= KERNEL_REL_BOUND
+
+
+def test_small_tau_is_served_by_the_dual_series():
+    # The direct series would need about 900 terms here; the dual needs none.
+    assert_kernel_matches_mpmath(0.999e-3)
+
+
+@pytest.mark.parametrize("target", TAU_GRID, ids=lambda t: f"tau={t:.15g}")
+def test_kernel_matches_mpmath(target):
+    assert_kernel_matches_mpmath(target)
+
+
+def test_kernel_is_continuous_across_two_pi():
+    # The kernel switches from the dual to the direct series at tau = 2 pi;
+    # its step there must match the reference's step to the stated bound.
+    mp = pytest.importorskip("mpmath")
+    z = 1.0e-6
+    below, above = (temperature_for_tau(z, t) for t in TAU_GRID[-2:])
+    reference = [mpmath_plates(mp, z, T) for T in (below, above)]
+    kernel = [(free_energy_pp(z, T).value, pressure_pp(z, T)) for T in (below, above)]
+    for i in (0, 1):
+        step = (kernel[1][i] - kernel[0][i]) - (reference[1][i] - reference[0][i])
+        assert float(abs(step / reference[0][i])) <= 2.0 * KERNEL_REL_BOUND
 
 
 def test_magnitude_strictly_decreases_with_separation():
@@ -207,6 +283,19 @@ def test_failed_momentum_quadrature_is_a_convergence_error(monkeypatch):
     monkeypatch.setattr(plates, "integrate", exhausted)
     with pytest.raises(ConvergenceError, match="momentum integral"):
         matsubara_term(1.0e-6, 300.0, 0)
+
+
+@pytest.mark.parametrize("z, T", [
+    (1.0e-300, 300.0),
+    (1.0e-9, 1.0e-300),
+    (1.0e-6, 5.0e-324),
+])
+def test_oracle_refuses_a_tau_that_rounds_away(z, T):
+    # 1 - e^(-tau) rounds to 0, so the thermal sum's tail bound is undefined.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="tau="):
+        free_energy_pp_oracle(z, T)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_oracle_rejects_zero_temperature():
