@@ -8,7 +8,6 @@ as the ``caslens`` command.
 """
 
 from .config import build_grid, parse_kv_file, parse_length, parse_temperature
-from .constants import SI, PhysicalConstants
 from .exceptions import (
     ConvergenceError,
     DegenerateBudgetError,
@@ -69,8 +68,6 @@ __all__ = [
     "parse_kv_file",
     "parse_length",
     "parse_temperature",
-    "SI",
-    "PhysicalConstants",
     "ConvergenceError",
     "DegenerateBudgetError",
     "DegenerateImperfectionError",

@@ -1,34 +1,16 @@
 """SI physical constants used by the force and free-energy routines.
 
-Values follow the 2019 SI redefinition (k_B and c are exact) and the
-CODATA recommended value for the reduced Planck constant.  All quantities
-are strict SI; unit conversions happen only at the command-line boundary.
+One fixed set, as module constants rather than a parameter: k_B and c are
+exact since the 2019 SI redefinition, and hbar is the CODATA 2018
+recommended value.  All quantities are strict SI; unit conversions happen
+only at the command-line boundary.
 """
 
-from __future__ import annotations
+#: Boltzmann constant k_B, J/K (exact since the 2019 SI redefinition).
+BOLTZMANN = 1.380_649e-23
 
-from dataclasses import dataclass
+#: Reduced Planck constant hbar, J*s (CODATA 2018 recommended value).
+REDUCED_PLANCK = 1.054_571_817e-34
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Bundle of the three constants the thermal Casimir formulas need.
-
-    boltzmann       J/K   (exact since the 2019 SI redefinition)
-    reduced_planck  J*s   (CODATA 2018 recommended value)
-    light_speed     m/s   (exact by definition of the metre)
-    """
-
-    boltzmann: float = 1.380_649e-23
-    reduced_planck: float = 1.054_571_817e-34
-    light_speed: float = 299_792_458.0
-
-    def __post_init__(self) -> None:
-        for name in ("boltzmann", "reduced_planck", "light_speed"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-#: Default constant set used throughout the package.
-SI = PhysicalConstants()
+#: Speed of light in vacuum c, m/s (exact by definition of the metre).
+LIGHT_SPEED = 299_792_458.0

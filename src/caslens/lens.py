@@ -225,7 +225,6 @@ def validate_spec(
         ))
     geometry = derive_geometry(profile)
     diameter = 2.0 * geometry.r
-    footprint_ok = FOOTPRINT_DIAMETER_MIN <= diameter <= FOOTPRINT_DIAMETER_MAX
     footprint_detail = (
         f"2r = {diameter:.6e} m, allowed "
         f"[{FOOTPRINT_DIAMETER_MIN:.1e}, {FOOTPRINT_DIAMETER_MAX:.1e}] m"
@@ -235,6 +234,6 @@ def validate_spec(
         f"D1 = {profile.D1:.6e} m, curvature tolerance {curvature_tolerance:.1e} m"
     )
     return SpecReport(checks=(
-        SpecCheck("footprint-diameter", footprint_ok, footprint_detail),
+        SpecCheck("footprint-diameter", geometry.spec_ok, footprint_detail),
         SpecCheck("depth-below-curvature-tolerance", depth_ok, depth_detail),
     ))

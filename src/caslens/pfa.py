@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .constants import SI, PhysicalConstants
 from .exceptions import QuadratureError, check_finite
 from .lens import LensKind, LensProfile, derive_geometry, height_function, lateral_extent
 from .plates import free_energy_pp, pressure_pp
@@ -103,9 +102,7 @@ def _validate_point(a: float, T: float, R: float) -> None:
     check_finite("curvature radius R", R)
 
 
-def force_perfect_simplified(
-    a: float, T: float, R: float, *, constants: PhysicalConstants = SI
-) -> ForceResult:
+def force_perfect_simplified(a: float, T: float, R: float) -> ForceResult:
     """Leading PFA form for a perfect lens:  F = 2 pi R F_pp(a, T).
 
     Valid for a << R; when a/R creeps above 1e-2 the result carries an
@@ -120,7 +117,7 @@ def force_perfect_simplified(
             f"a/R = {a / R:.3e} exceeds {_SIMPLIFIED_RATIO_LIMIT}; the "
             "simplified PFA form degrades at this separation"
         )
-    signed = 2.0 * math.pi * R * free_energy_pp(a, T, constants=constants).value
+    signed = 2.0 * math.pi * R * free_energy_pp(a, T).value
     return ForceResult(abs(signed), signed < 0.0, ForceMethod.PERFECT_SIMPLIFIED,
                        a, T, warning)
 
@@ -132,7 +129,6 @@ def force_perfect_full(
     D: float | None = None,
     *,
     quad_tol: float = 1.0e-12,
-    constants: PhysicalConstants = SI,
 ) -> ForceResult:
     """Exact PFA result for a perfect spherical lens of thickness D.
 
@@ -151,20 +147,19 @@ def force_perfect_full(
 
     def integrand(u: float) -> float:
         z = math.exp(u)
-        return free_energy_pp(z, T, constants=constants).value * z
+        return free_energy_pp(z, T).value * z
 
     integral = integrate(integrand, math.log(a), math.log(D + a), rel_tol=quad_tol)[0]
     signed = 2.0 * math.pi * (
-        R * free_energy_pp(a, T, constants=constants).value
-        - (R - D) * free_energy_pp(D + a, T, constants=constants).value
+        R * free_energy_pp(a, T).value
+        - (R - D) * free_energy_pp(D + a, T).value
         - integral
     )
     return ForceResult(abs(signed), signed < 0.0, ForceMethod.PERFECT_FULL, a, T)
 
 
 def _two_term(
-    a: float, T: float, R: float, R1: float, D1: float,
-    constants: PhysicalConstants, *, pit: bool,
+    a: float, T: float, R: float, R1: float, D1: float, *, pit: bool
 ) -> ForceResult:
     """2 pi ((R - R1) F_rim + R1 F_cap), the bubble and pit closed forms.
 
@@ -173,18 +168,15 @@ def _two_term(
     _validate_point(a, T, R)
     check_finite("imperfection radius R1", R1, strict=False)
     check_finite("imperfection depth D1", D1, strict=False)
-    near = free_energy_pp(a, T, constants=constants).value
-    far = near if D1 == 0.0 else free_energy_pp(a + D1, T, constants=constants).value
+    near = free_energy_pp(a, T).value
+    far = near if D1 == 0.0 else free_energy_pp(a + D1, T).value
     rim, cap = (near, far) if pit else (far, near)
     signed = 2.0 * math.pi * ((R - R1) * rim + R1 * cap)
     method = ForceMethod.PIT if pit else ForceMethod.BUBBLE
     return ForceResult(abs(signed), signed < 0.0, method, a, T)
 
 
-def force_bubble(
-    a: float, T: float, R: float, R1: float, D1: float,
-    *, constants: PhysicalConstants = SI,
-) -> ForceResult:
+def force_bubble(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult:
     """Closed two-term PFA force for a lens with a central bubble.
 
         F = 2 pi (R - R1) F_pp(a + D1, T) + 2 pi R1 F_pp(a, T)
@@ -192,13 +184,10 @@ def force_bubble(
     Degenerate limits: R1 = R or D1 = 0 reproduce the simplified perfect
     form (the bubble sphere takes over the whole cap, or has no depth).
     """
-    return _two_term(a, T, R, R1, D1, constants, pit=False)
+    return _two_term(a, T, R, R1, D1, pit=False)
 
 
-def force_pit(
-    a: float, T: float, R: float, R1: float, D1: float,
-    *, constants: PhysicalConstants = SI,
-) -> ForceResult:
+def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult:
     """Closed two-term PFA force for a lens with a central pit.
 
         F = 2 pi (R - R1) F_pp(a, T) + 2 pi R1 F_pp(a + D1, T)
@@ -220,7 +209,7 @@ def force_pit(
     """
     if R1 >= R:
         raise ValueError("a pit requires R1 < R")
-    return _two_term(a, T, R, R1, D1, constants, pit=True)
+    return _two_term(a, T, R, R1, D1, pit=True)
 
 
 def force_general(
@@ -230,7 +219,6 @@ def force_general(
     *,
     quad_tol: float = DEFAULT_QUAD_TOL,
     pressure_fn: Callable[[float], float] | None = None,
-    constants: PhysicalConstants = SI,
 ) -> ForceResult:
     """PFA force by direct quadrature over the actual surface profile.
 
@@ -256,7 +244,7 @@ def force_general(
     height = height_function(profile, a)  # rejects D > R: z(rho) is single-valued
     if pressure_fn is None:
         def pressure_fn(z: float, _T: float = T) -> float:
-            return pressure_pp(z, _T, constants=constants)
+            return pressure_pp(z, _T)
 
     extent = lateral_extent(profile)
     if profile.kind is LensKind.PERFECT:
@@ -285,19 +273,19 @@ def force_general(
 
 
 #: Each method's profile kind (None: every kind) and its call on (profile,
-#: a, T, constants, quadrature keywords); the calls look the force_* names
-#: up when they run.
+#: a, T, quadrature keywords); the calls look the force_* names up when
+#: they run.
 _METHODS = {
-    ForceMethod.GENERAL_QUADRATURE: (None, lambda p, a, T, c, q: (
-        force_general(p, a, T, constants=c, **q))),
-    ForceMethod.PERFECT_FULL: (LensKind.PERFECT, lambda p, a, T, c, q: (
-        force_perfect_full(a, T, p.R, p.D, constants=c, **q))),
-    ForceMethod.PERFECT_SIMPLIFIED: (LensKind.PERFECT, lambda p, a, T, c, q: (
-        force_perfect_simplified(a, T, p.R, constants=c))),
-    ForceMethod.BUBBLE: (LensKind.BUBBLE, lambda p, a, T, c, q: (
-        force_bubble(a, T, p.R, p.R1, p.D1, constants=c))),
-    ForceMethod.PIT: (LensKind.PIT, lambda p, a, T, c, q: (
-        force_pit(a, T, p.R, p.R1, p.D1, constants=c))),
+    ForceMethod.GENERAL_QUADRATURE: (None, lambda p, a, T, q: (
+        force_general(p, a, T, **q))),
+    ForceMethod.PERFECT_FULL: (LensKind.PERFECT, lambda p, a, T, q: (
+        force_perfect_full(a, T, p.R, p.D, **q))),
+    ForceMethod.PERFECT_SIMPLIFIED: (LensKind.PERFECT, lambda p, a, T, q: (
+        force_perfect_simplified(a, T, p.R))),
+    ForceMethod.BUBBLE: (LensKind.BUBBLE, lambda p, a, T, q: (
+        force_bubble(a, T, p.R, p.R1, p.D1))),
+    ForceMethod.PIT: (LensKind.PIT, lambda p, a, T, q: (
+        force_pit(a, T, p.R, p.R1, p.D1))),
 }
 
 #: The call of each profile kind's closed form, the default of ``force``.
@@ -313,7 +301,6 @@ def force(
     method: ForceMethod | str | None = None,
     *,
     tol: float | None = None,
-    constants: PhysicalConstants = SI,
 ) -> ForceResult:
     """Plate-lens force on ``profile`` at separation a and temperature T.
 
@@ -324,22 +311,16 @@ def force(
     two quadrature methods; None keeps their own default tolerances.
     """
     if method is None:
-        return _CLOSED_FORMS[profile.kind](profile, a, T, constants, {})
+        return _CLOSED_FORMS[profile.kind](profile, a, T, {})
     method = ForceMethod(method)
     kind, formula = _METHODS[method]
     if kind is not None and kind is not profile.kind:
         raise ValueError(f"method {method.value!r} applies to {kind.value} profiles, "
                          f"not {profile.kind.value}")
-    return formula(profile, a, T, constants, {} if tol is None else {"quad_tol": tol})
+    return formula(profile, a, T, {} if tol is None else {"quad_tol": tol})
 
 
-def ratio_curve(
-    profile: LensProfile,
-    separations: Iterable[float],
-    T: float,
-    *,
-    constants: PhysicalConstants = SI,
-) -> RatioCurve:
+def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) -> RatioCurve:
     """Force ratio imperfect lens / perfect lens over a separation grid.
 
     Both are ``force``'s default closed forms; the reference denominator is
@@ -349,6 +330,5 @@ def ratio_curve(
         raise ValueError("ratio curves are defined for imperfect profiles only")
     perfect = LensProfile.perfect(profile.R, profile.D)
     grid = tuple(float(s) for s in separations)
-    ratios = [force(profile, a, T, constants=constants).value
-              / force(perfect, a, T, constants=constants).value for a in grid]
+    ratios = [force(profile, a, T).value / force(perfect, a, T).value for a in grid]
     return RatioCurve(separations=grid, ratios=tuple(ratios), profile=profile)

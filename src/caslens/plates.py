@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import SI, PhysicalConstants
+from .constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from .exceptions import ConvergenceError, QuadratureError
 from .exceptions import check_finite
 from .quadrature import integrate
@@ -64,6 +64,10 @@ _P_NORM = 15.0 / math.pi**4  # p = _P_NORM * tau * (2B - tau B')
 #: the loop stops.  S >= zeta(3)/2, so it is below 2e-18 relative.
 _TAIL_BOUND = 1.0e-18
 
+#: Relative tolerance of the thermal-sum oracle: each momentum integral,
+#: and the tail bound at which the sum over indices stops.
+_ORACLE_TOL = 1.0e-12
+
 #: Lower integration limits at or above this value use the two-term
 #: analytic tail of the momentum integral; the neglected remainder is
 #: below double precision there, and adaptive quadrature on such a far
@@ -71,7 +75,7 @@ _TAIL_BOUND = 1.0e-18
 _ANALYTIC_TAIL_MIN = 34.0
 
 
-def tau(z: float, T: float, *, constants: PhysicalConstants = SI) -> float:
+def tau(z: float, T: float) -> float:
     """Dimensionless thermal parameter  tau = 4 pi z k_B T / (hbar c).
 
     Every kernel entry point goes through here, so this is where a NaN or
@@ -79,9 +83,7 @@ def tau(z: float, T: float, *, constants: PhysicalConstants = SI) -> float:
     """
     check_finite("separation", z)
     check_finite("temperature", T, strict=False)
-    return 4.0 * math.pi * z * constants.boltzmann * T / (
-        constants.reduced_planck * constants.light_speed
-    )
+    return 4.0 * math.pi * z * BOLTZMANN * T / (REDUCED_PLANCK * LIGHT_SPEED)
 
 
 @dataclass(frozen=True)
@@ -165,20 +167,16 @@ def _plate_kernel(t: float) -> tuple[float, float, float, int]:
     return f, p, math.pi**2 / 180.0 * sigma * f, terms
 
 
-def free_energy_pp(
-    z: float, T: float, *, constants: PhysicalConstants = SI
-) -> FreeEnergyAreal:
+def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
     """Free energy per unit area of two parallel ideal-metal plates.
 
         F_pp(z, T) = - (pi^2 hbar c / (720 z^3)) * f(tau)
 
     Valid for every T >= 0; at T = 0, f = 1 exactly and the bracket is +inf.
     """
-    f, _, bracket, terms = _plate_kernel(tau(z, T, constants=constants))
+    f, _, bracket, terms = _plate_kernel(tau(z, T))
     try:
-        value = -(math.pi**2) * constants.reduced_planck * constants.light_speed / (
-            720.0 * z**3
-        ) * f
+        value = -(math.pi**2) * REDUCED_PLANCK * LIGHT_SPEED / (720.0 * z**3) * f
     except ArithmeticError:  # a power of z overflowed, or underflowed to 0
         value = 0.0
     if not -math.inf < value < 0.0:
@@ -186,18 +184,16 @@ def free_energy_pp(
     return FreeEnergyAreal(value=value, bracket=bracket, terms_used=terms)
 
 
-def pressure_pp(z: float, T: float, *, constants: PhysicalConstants = SI) -> float:
+def pressure_pp(z: float, T: float) -> float:
     """Casimir pressure between parallel ideal-metal plates, in N/m^2.
 
         P_pp(z, T) = - dF_pp/dz = - (pi^2 hbar c / (240 z^4)) * p(tau)
 
     Negative for all valid inputs (the plates attract).
     """
-    _, p, _, _ = _plate_kernel(tau(z, T, constants=constants))
+    _, p, _, _ = _plate_kernel(tau(z, T))
     try:
-        value = -(math.pi**2) * constants.reduced_planck * constants.light_speed / (
-            240.0 * z**4
-        ) * p
+        value = -(math.pi**2) * REDUCED_PLANCK * LIGHT_SPEED / (240.0 * z**4) * p
     except ArithmeticError:  # a power of z overflowed, or underflowed to 0
         value = 0.0
     if not -math.inf < value < 0.0:
@@ -217,7 +213,7 @@ def _momentum_integrand(y: float) -> float:
     return y * math.log1p(-ex)
 
 
-def _momentum_integral(m: float, quad_tol: float) -> float:
+def _momentum_integral(m: float) -> float:
     """Integral of y*ln(1 - e^(-y)) over y in [m, inf); non-positive.
 
     Evaluated by the adaptive Gauss-Kronrod rule of ``caslens.quadrature``.
@@ -236,7 +232,7 @@ def _momentum_integral(m: float, quad_tol: float) -> float:
     bounds = (m, 1.0, math.inf) if m < 1.0 else (m, math.inf)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         try:
-            total += integrate(_momentum_integrand, lo, hi, rel_tol=quad_tol)[0]
+            total += integrate(_momentum_integrand, lo, hi, rel_tol=_ORACLE_TOL)[0]
         except QuadratureError as exc:
             raise ConvergenceError(
                 f"momentum integral on [{lo}, {hi}] did not converge: {exc}"
@@ -244,14 +240,25 @@ def _momentum_integral(m: float, quad_tol: float) -> float:
     return total
 
 
-def matsubara_term(
-    z: float,
-    T: float,
-    l: int,
-    *,
-    quad_tol: float = 1.0e-12,
-    constants: PhysicalConstants = SI,
-) -> float:
+def _thermal_value(z: float, T: float, total: float) -> float:
+    """k_B T / (4 pi z^2) times the dimensionless thermal sum ``total``, in J/m^2.
+
+    A separation that drives the prefactor, or a non-zero result, to 0 or
+    out of the float range is refused as F_pp is in ``free_energy_pp``.
+    A zero ``total`` (a far thermal index) gives 0.
+    """
+    try:
+        prefactor = BOLTZMANN * T / (4.0 * math.pi * z * z)
+    except ZeroDivisionError:  # z * z underflowed to 0
+        prefactor = math.inf
+    value = prefactor * total
+    if not (0.0 < prefactor < math.inf and math.isfinite(value)
+            and (value != 0.0 or total == 0.0)):
+        raise ValueError(f"separation {z!r} m puts F_pp outside the float range")
+    return value
+
+
+def matsubara_term(z: float, T: float, l: int) -> float:
     """Contribution of thermal-sum index l to F_pp, in J/m^2.
 
     Index 0 carries weight one half.  The l = 0 term alone equals the
@@ -261,41 +268,33 @@ def matsubara_term(
         raise ValueError(f"thermal-sum index must be non-negative, got {l!r}")
     if not T > 0.0:
         raise ValueError("the thermal sum requires T > 0")
-    t = tau(z, T, constants=constants)
+    t = tau(z, T)
     weight = 0.5 if l == 0 else 1.0
-    prefactor = constants.boltzmann * T / (4.0 * math.pi * z * z)
-    return prefactor * weight * _momentum_integral(t * l, quad_tol)
+    return _thermal_value(z, T, weight * _momentum_integral(t * l))
 
 
-def free_energy_pp_oracle(
-    z: float,
-    T: float,
-    *,
-    l_max: int = 100_000,
-    quad_tol: float = 1.0e-12,
-    constants: PhysicalConstants = SI,
-) -> FreeEnergyAreal:
+def free_energy_pp_oracle(z: float, T: float, *, l_max: int = 100_000) -> FreeEnergyAreal:
     """Brute-force thermal sum for F_pp; independent of the closed series.
 
     Sums the thermal indices l = 0, 1, 2, ... (index 0 halved), each term a
     Gauss-Kronrod quadrature (``caslens.quadrature``) over the dimensionless
     momentum variable y = 2 z q_l starting at y = tau*l.  The sum stops once
-    a geometric tail bound drops below quad_tol of the accumulated value;
+    a geometric tail bound drops below 1e-12 of the accumulated value;
     running past l_max raises instead of silently truncating.
     """
     if not T > 0.0:
         raise ValueError("the brute-force sum requires T > 0; "
                          "free_energy_pp handles T = 0 directly")
-    t = tau(z, T, constants=constants)
+    t = tau(z, T)
     x = math.exp(-t)
     one_minus_x = 1.0 - x
     if one_minus_x == 0.0:
         raise ValueError(f"tau={t!r} is too small for the thermal sum: "
                          "1 - e^(-tau) rounds to 0")
-    total = 0.5 * _momentum_integral(0.0, quad_tol)
+    total = 0.5 * _momentum_integral(0.0)
     terms = 1
     for l in range(1, l_max + 1):
-        total += _momentum_integral(t * l, quad_tol)
+        total += _momentum_integral(t * l)
         terms += 1
         # Tail bound: |integral(m)| <= (1+m)e^(-m) / (1-e^(-m)), summed
         # geometrically over the remaining indices j >= l+1.
@@ -305,12 +304,12 @@ def free_energy_pp_oracle(
             x_pow / one_minus_x
             + t * x_pow * (nxt * one_minus_x + x) / one_minus_x**2
         ) / (1.0 - x_pow)
-        if geometric <= quad_tol * abs(total):
+        if geometric <= _ORACLE_TOL * abs(total):
             break
     else:
         raise ConvergenceError(
             f"thermal sum not converged after l_max={l_max} indices at "
-            f"tau={t:.3e}; raise l_max or loosen quad_tol"
+            f"tau={t:.3e}; raise l_max"
         )
-    prefactor = constants.boltzmann * T / (4.0 * math.pi * z * z)
-    return FreeEnergyAreal(value=prefactor * total, bracket=-total, terms_used=terms)
+    value = _thermal_value(z, T, total)
+    return FreeEnergyAreal(value=value, bracket=-total, terms_used=terms)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from caslens import (
-    SI,
     ErrorBudget,
     LensProfile,
     Rule,
@@ -35,6 +34,7 @@ from caslens import (
     total_error,
 )
 from caslens.cli import main
+from caslens.constants import LIGHT_SPEED, REDUCED_PLANCK
 
 #: Benchmark checkpoints: separation in um -> (wide bubble, narrow bubble,
 #: pit) force ratios, each to be reproduced within +/- 0.002.
@@ -211,7 +211,7 @@ def test_acceptance_5_limiting_behaviour(capsys):
     # zero-temperature result -pi^2 hbar c / (720 z^3) to 0.5%.
     T_cold = temperature_for_tau(z, 1.0e-2)
     brute = free_energy_pp_oracle(z, T_cold).value
-    zero_t = -math.pi**2 * SI.reduced_planck * SI.light_speed / (720.0 * z**3)
+    zero_t = -math.pi**2 * REDUCED_PLANCK * LIGHT_SPEED / (720.0 * z**3)
     cold_rel = abs(brute / zero_t - 1.0)
     assert cold_rel <= 5.0e-3
 

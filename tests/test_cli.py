@@ -10,6 +10,7 @@ import pytest
 
 import caslens
 from caslens import free_energy_pp, pressure_pp
+from caslens.constants import LIGHT_SPEED, REDUCED_PLANCK
 from caslens.cli import main
 
 
@@ -199,8 +200,7 @@ def test_low_temperature_nanometre_gap_exit_code(capsys):
     z = 1.0e-9
     code = main(["fpp", "--a-list", "1nm", "--T", "0.01"])
     assert code == 0
-    expected = -math.pi**2 * caslens.SI.reduced_planck * caslens.SI.light_speed / (
-        720.0 * z**3)
+    expected = -math.pi**2 * REDUCED_PLANCK * LIGHT_SPEED / (720.0 * z**3)
     assert abs(free_energy_pp(z, 0.01).value / expected - 1.0) <= 1.0e-12
     out = capsys.readouterr().out.splitlines()
     assert out == ["z_m,fpp_J_per_m2", f"{z:.11e},{expected:.11e}"]

@@ -9,7 +9,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from caslens import (
-    SI,
     ConvergenceError,
     FreeEnergyAreal,
     free_energy_pp,
@@ -19,6 +18,7 @@ from caslens import (
     tau,
 )
 from caslens import plates
+from caslens.constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from caslens.exceptions import QuadratureError
 from caslens.plates import ZETA3
 
@@ -78,7 +78,7 @@ def mpmath_plates(mp, z, T):
 
         bracket = mp.zeta(3) / 2 + euler_maclaurin_sum(mp, energy_term)
         pressure_bracket = mp.zeta(3) + euler_maclaurin_sum(mp, pressure_term)
-        hbar_c = mp.mpf(SI.reduced_planck) * mp.mpf(SI.light_speed)
+        hbar_c = mp.mpf(REDUCED_PLANCK) * mp.mpf(LIGHT_SPEED)
         z = mp.mpf(z)
         return (-t * hbar_c * bracket / (16 * mp.pi**2 * z**3),
                 -t * hbar_c * pressure_bracket / (16 * mp.pi**2 * z**4))
@@ -136,10 +136,19 @@ def test_non_finite_inputs_are_domain_errors(kernel, z, T):
     (pressure_pp, 1.0e100, 0.0),
     (free_energy_pp, 1.0e200, 300.0),
     (pressure_pp, 1.0e200, 300.0),
+    pytest.param(lambda z, T: matsubara_term(z, T, 1), 1.0e-300, 300.0,
+                 id="matsubara_term-l1-1e-300-300.0"),
+    pytest.param(lambda z, T: matsubara_term(z, T, 0), 1.0e-170, 300.0,
+                 id="matsubara_term-l0-1e-170-300.0"),
+    (free_energy_pp_oracle, 1.0e-170, 1.0e300),
+    (free_energy_pp_oracle, 1.0e-160, 1.0e300),
+    (free_energy_pp_oracle, 1.0e200, 300.0),
 ])
 def test_separation_outside_the_float_range_is_a_domain_error(kernel, z, T):
     # z**3 or z**4 overflows or underflows to 0; at 1e200 m and 300 K tau^2
     # overflows, which would otherwise feed NaN terms to the pressure series.
+    # The thermal sum's prefactor k_B T/(4 pi z^2) divides by z*z, which
+    # underflows to 0 (or overflows) the same way.
     start = time.perf_counter()
     with pytest.raises(ValueError, match=re.escape(f"separation {z!r} m")):
         kernel(z, T)
@@ -191,7 +200,7 @@ def test_high_temperature_tail_is_exponentially_small():
 
 def test_zero_temperature_dedicated_path():
     z = 1.0e-6
-    expected = -math.pi**2 * SI.reduced_planck * SI.light_speed / (720.0 * z**3)
+    expected = -math.pi**2 * REDUCED_PLANCK * LIGHT_SPEED / (720.0 * z**3)
     result = free_energy_pp(z, 0.0)
     assert result.value == expected
     assert math.isinf(result.bracket)
@@ -258,9 +267,21 @@ def test_series_matches_oracle_spot_check():
     assert abs(series - oracle) / abs(oracle) < 1.0e-9
 
 
+@pytest.mark.parametrize("target", [0.1, 1.0, 2.0 * math.pi * (1.0 - 1.0e-9),
+                                    2.0 * math.pi * (1.0 + 1.0e-9), 10.0, 100.0],
+                         ids=lambda t: f"tau={t:.10g}")
+def test_series_matches_oracle(target):
+    # The oracle targets 1e-12; it shares no code with the closed series.
+    z = 1.0e-6
+    T = temperature_for_tau(z, target)
+    series = free_energy_pp(z, T).value
+    oracle = free_energy_pp_oracle(z, T).value
+    assert relative_error(series, oracle) <= 1.0e-10
+
+
 def test_oracle_classical_index_alone():
     z, T = 1.0e-6, 300.0
-    expected = -(SI.boltzmann * T / (4.0 * math.pi * z * z)) * 0.5 * ZETA3
+    expected = -(BOLTZMANN * T / (4.0 * math.pi * z * z)) * 0.5 * ZETA3
     assert_allclose(matsubara_term(z, T, 0), expected, rtol=1.0e-12)
 
 
@@ -320,14 +341,14 @@ def test_pressure_matches_energy_derivative():
 
 def test_pressure_zero_temperature_path():
     z = 1.0e-6
-    expected = -math.pi**2 * SI.reduced_planck * SI.light_speed / (240.0 * z**4)
+    expected = -math.pi**2 * REDUCED_PLANCK * LIGHT_SPEED / (240.0 * z**4)
     assert pressure_pp(z, 0.0) == expected
 
 
 def test_pressure_classical_limit():
     z = 1.0e-6
     T = temperature_for_tau(z, 10.0)
-    classical = -SI.boltzmann * T * ZETA3 / (4.0 * math.pi * z**3)
+    classical = -BOLTZMANN * T * ZETA3 / (4.0 * math.pi * z**3)
     assert_allclose(pressure_pp(z, T), classical, rtol=1.0e-2)
 
 
