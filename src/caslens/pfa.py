@@ -8,8 +8,10 @@ z(rho) contributes the parallel-plate pressure over its area:
 For a perfect spherical lens the integral reduces exactly to
 
     F = 2 pi R F_pp(a, T) - 2 pi (R - D) F_pp(D + a, T)
-        - 2 pi integral_a^(D+a) F_pp(z, T) dz
+        - 2 pi integral_a^(D+a) F_pp(z, T) dz,
 
+whose last term is -2 pi (E_pp(a, T) - E_pp(D + a, T)) with E_pp the
+antiderivative of F_pp from the plate kernel (``free_energy_integral_pp``),
 and, because a << R, to the familiar simplified form F = 2 pi R F_pp(a, T).
 Central bubbles and pits replace the cap inside the footprint radius by the
 imperfection sphere, giving the two-term closed forms
@@ -34,7 +36,7 @@ from typing import Callable, Iterable
 
 from .exceptions import QuadratureError, check_finite
 from .lens import LensKind, LensProfile, derive_geometry, height_function, lateral_extent
-from .plates import free_energy_pp, pressure_pp
+from .plates import free_energy_integral_pp, free_energy_pp, pressure_pp
 from .quadrature import integrate
 
 #: Default relative tolerance for the PFA quadrature.
@@ -122,38 +124,26 @@ def force_perfect_simplified(a: float, T: float, R: float) -> ForceResult:
                        a, T, warning)
 
 
-def force_perfect_full(
-    a: float,
-    T: float,
-    R: float,
-    D: float | None = None,
-    *,
-    quad_tol: float = 1.0e-12,
-) -> ForceResult:
+def force_perfect_full(a: float, T: float, R: float, D: float | None = None) -> ForceResult:
     """Exact PFA result for a perfect spherical lens of thickness D.
 
-        F = 2 pi R F_pp(a) - 2 pi (R - D) F_pp(D + a)
-            - 2 pi integral_a^(D+a) F_pp(z) dz
+        F = 2 pi [R F_pp(a) - (R - D) F_pp(D + a) - E_pp(a) + E_pp(D + a)]
 
-    D defaults to R (hemisphere), where the middle term vanishes.  The
-    separation integral runs in log space to tame its many decades, by the
-    adaptive Gauss-Kronrod rule of ``caslens.quadrature``.
+    where E_pp(z) = integral_z^inf F_pp dz' = -(pi^2 hbar c / (1440 z^2)) g(tau)
+    (``free_energy_integral_pp``), so the separation integral of F_pp
+    from a to D + a is E_pp(a) - E_pp(D + a) and no quadrature runs.  D
+    defaults to R (hemisphere), where the middle term vanishes.
     """
     _validate_point(a, T, R)
     if D is None:
         D = R
     if not 0.0 < D <= 2.0 * R:
         raise ValueError(f"lens thickness D={D!r} must satisfy 0 < D <= 2R")
-
-    def integrand(u: float) -> float:
-        z = math.exp(u)
-        return free_energy_pp(z, T).value * z
-
-    integral = integrate(integrand, math.log(a), math.log(D + a), rel_tol=quad_tol)[0]
     signed = 2.0 * math.pi * (
         R * free_energy_pp(a, T).value
         - (R - D) * free_energy_pp(D + a, T).value
-        - integral
+        - free_energy_integral_pp(a, T)
+        + free_energy_integral_pp(D + a, T)
     )
     return ForceResult(abs(signed), signed < 0.0, ForceMethod.PERFECT_FULL, a, T)
 
@@ -279,7 +269,7 @@ _METHODS = {
     ForceMethod.GENERAL_QUADRATURE: (None, lambda p, a, T, q: (
         force_general(p, a, T, **q))),
     ForceMethod.PERFECT_FULL: (LensKind.PERFECT, lambda p, a, T, q: (
-        force_perfect_full(a, T, p.R, p.D, **q))),
+        force_perfect_full(a, T, p.R, p.D))),
     ForceMethod.PERFECT_SIMPLIFIED: (LensKind.PERFECT, lambda p, a, T, q: (
         force_perfect_simplified(a, T, p.R))),
     ForceMethod.BUBBLE: (LensKind.BUBBLE, lambda p, a, T, q: (
@@ -307,8 +297,8 @@ def force(
     ``method`` (a ForceMethod or its label) defaults to the closed form for
     the profile's kind.  Quadrature serves every kind; ``full`` and
     ``simplified`` serve perfect lenses, ``bubble`` and ``pit`` their own
-    kind, and any other pairing is a ValueError.  ``tol`` reaches only the
-    two quadrature methods; None keeps their own default tolerances.
+    kind, and any other pairing is a ValueError.  ``tol`` reaches only
+    ``quadrature``; None keeps its default tolerance.
     """
     if method is None:
         return _CLOSED_FORMS[profile.kind](profile, a, T, {})

@@ -28,12 +28,19 @@ parameter sigma = 4 pi^2 / tau, through Ramanujan's zeta(3) formula
 
     S(tau) = -(tau^2 / 4 pi^2) S(sigma) + tau^3/1440 + pi^2 tau/72 + pi^4/(90 tau)
 
-on which D acts as -sigma d/dsigma.  T = 0 is the point sigma = inf of the
-dual form, where every term vanishes and f = p = 1 exactly: the standard
-zero-temperature results
+on which D acts as -sigma d/dsigma.  S itself gives the antiderivative of
+F_pp that vanishes at infinity:
+
+    E_pp(z, T) = integral_z^inf F_pp(z', T) dz'
+               = - k_B T S(tau) / (4 pi z)
+               = - (pi^2 hbar c / (1440 z^2)) * g(tau),   g = 90 tau S / pi^4.
+
+T = 0 is the point sigma = inf of the dual form, where every term vanishes
+and f = p = g = 1 exactly: the standard zero-temperature results
 
     F_pp(z, 0) = - pi^2 hbar c / (720 z^3)
-    P_pp(z, 0) = - pi^2 hbar c / (240 z^4).
+    P_pp(z, 0) = - pi^2 hbar c / (240 z^4)
+    E_pp(z, 0) = - pi^2 hbar c / (1440 z^2).
 
 At tau >> 1 the bracket B approaches zeta(3)/2 (classical limit).  A
 brute-force cross-check sums the thermal (Matsubara) series directly,
@@ -56,9 +63,13 @@ from .quadrature import integrate
 ZETA3 = 1.2020569031595943
 
 _TWO_PI = 2.0 * math.pi
-_FOUR_PI_SQ = 4.0 * math.pi**2
+_PI_SQ = math.pi**2
+_FOUR_PI_SQ = 4.0 * _PI_SQ
 _F_NORM = 45.0 / math.pi**4  # f = _F_NORM * tau * B
 _P_NORM = 15.0 / math.pi**4  # p = _P_NORM * tau * (2B - tau B')
+_G_NORM = 90.0 / math.pi**4  # g = _G_NORM * tau * S
+#: -pi^2 hbar c, multiplied in the order of every F_pp, P_pp and E_pp product.
+_MINUS_PI_SQ_HBAR_C = -_PI_SQ * REDUCED_PLANCK * LIGHT_SPEED
 
 #: Bound on the remainder of each summed moment S, DS and D^2 S at which
 #: the loop stops.  S >= zeta(3)/2, so it is below 2e-18 relative.
@@ -143,28 +154,45 @@ def _moments(a: float) -> tuple[float, float, float, int]:
     return s0, -s1, s2 - s1, n
 
 
-def _plate_kernel(t: float) -> tuple[float, float, float, int]:
-    """f(tau), p(tau), B(tau) and the terms summed, for every tau >= 0.
+def _plate_kernel(t: float) -> tuple[float, float, float, float, int]:
+    """f(tau), p(tau), g(tau), B(tau) and the terms summed, for every tau >= 0.
 
-    f and p are F_pp and P_pp in units of their zero-temperature values.
+    f, p and g are F_pp, P_pp and E_pp in units of their zero-temperature
+    values.
     """
     if t >= _TWO_PI:
         s0, s1, s2, terms = _moments(t)
         bracket = s0 - s1
         f = _F_NORM * t * bracket
         p = _P_NORM * t * (2.0 * s0 - 3.0 * s1 + s2)
-        return f, p, bracket, terms
+        g = _G_NORM * t * s0
+        return f, p, g, bracket, terms
     # Dual side.  With S, DS and D^2 S now the moments at sigma (where D is
     # sigma d/dsigma, and tau d/dtau = -D), the duality gives
     #   tau B             = pi^4/45 + tau^3 [(S - DS)/(4 pi^2) - tau/720]
-    #   tau (2B - tau B') = pi^4/15 + tau^3 [(DS - D^2 S)/(4 pi^2) + tau/720].
+    #   tau (2B - tau B') = pi^4/15 + tau^3 [(DS - D^2 S)/(4 pi^2) + tau/720]
+    #   tau S             = pi^4/90 + tau^2 [pi^2/72 + tau (tau/1440 - S/(4 pi^2))].
     sigma = _FOUR_PI_SQ / t if t > 0.0 else math.inf
     s0, s1, s2, terms = _moments(sigma)
     t3 = t * t * t
     f = 1.0 + _F_NORM * t3 * ((s0 - s1) / _FOUR_PI_SQ - t / 720.0)
     p = 1.0 + _P_NORM * t3 * ((s1 - s2) / _FOUR_PI_SQ + t / 720.0)
+    g = 1.0 + _G_NORM * t * t * (_PI_SQ / 72.0 + t * (t / 1440.0 - s0 / _FOUR_PI_SQ))
     # B = pi^4 f / (45 tau), with 1/tau = sigma / (4 pi^2); +inf at T = 0.
-    return f, p, math.pi**2 / 180.0 * sigma * f, terms
+    return f, p, g, _PI_SQ / 180.0 * sigma * f, terms
+
+
+def _in_float_range(quantity: str, z: float, power: int, divisor: float,
+                    factor: float) -> float:
+    """-(pi^2 hbar c / (divisor z^power)) * factor; a ValueError naming
+    ``quantity`` when a power of z or the value leaves the float range."""
+    try:
+        value = _MINUS_PI_SQ_HBAR_C / (divisor * z**power) * factor
+    except ArithmeticError:  # a power of z overflowed, or underflowed to 0
+        value = 0.0
+    if not -math.inf < value < 0.0:
+        raise ValueError(f"separation {z!r} m puts {quantity} outside the float range")
+    return value
 
 
 def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
@@ -174,13 +202,8 @@ def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
 
     Valid for every T >= 0; at T = 0, f = 1 exactly and the bracket is +inf.
     """
-    f, _, bracket, terms = _plate_kernel(tau(z, T))
-    try:
-        value = -(math.pi**2) * REDUCED_PLANCK * LIGHT_SPEED / (720.0 * z**3) * f
-    except ArithmeticError:  # a power of z overflowed, or underflowed to 0
-        value = 0.0
-    if not -math.inf < value < 0.0:
-        raise ValueError(f"separation {z!r} m puts F_pp outside the float range")
+    f, _, _, bracket, terms = _plate_kernel(tau(z, T))
+    value = _in_float_range("F_pp", z, 3, 720.0, f)
     return FreeEnergyAreal(value=value, bracket=bracket, terms_used=terms)
 
 
@@ -191,14 +214,19 @@ def pressure_pp(z: float, T: float) -> float:
 
     Negative for all valid inputs (the plates attract).
     """
-    _, p, _, _ = _plate_kernel(tau(z, T))
-    try:
-        value = -(math.pi**2) * REDUCED_PLANCK * LIGHT_SPEED / (240.0 * z**4) * p
-    except ArithmeticError:  # a power of z overflowed, or underflowed to 0
-        value = 0.0
-    if not -math.inf < value < 0.0:
-        raise ValueError(f"separation {z!r} m puts P_pp outside the float range")
-    return value
+    _, p, _, _, _ = _plate_kernel(tau(z, T))
+    return _in_float_range("P_pp", z, 4, 240.0, p)
+
+
+def free_energy_integral_pp(z: float, T: float) -> float:
+    """Antiderivative of F_pp that vanishes at infinity, in J/m.
+
+        E_pp(z, T) = integral_z^inf F_pp(z', T) dz' = - (pi^2 hbar c / (1440 z^2)) * g(tau)
+
+    Negative for all valid inputs; at T = 0, g = 1 exactly.
+    """
+    _, _, g, _, _ = _plate_kernel(tau(z, T))
+    return _in_float_range("the integral of F_pp", z, 2, 1440.0, g)
 
 
 def _momentum_integrand(y: float) -> float:
@@ -264,8 +292,8 @@ def matsubara_term(z: float, T: float, l: int) -> float:
     Index 0 carries weight one half.  The l = 0 term alone equals the
     classical value -(k_B T / (4 pi z^2)) * zeta(3)/2.
     """
-    if l < 0:
-        raise ValueError(f"thermal-sum index must be non-negative, got {l!r}")
+    if not (l >= 0 and float(l).is_integer()):
+        raise ValueError(f"thermal-sum index must be a non-negative integer, got {l!r}")
     if not T > 0.0:
         raise ValueError("the thermal sum requires T > 0")
     t = tau(z, T)

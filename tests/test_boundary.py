@@ -40,17 +40,15 @@ ENTRIES = {
                         dict.fromkeys(("R", "R1", "D1", "D"), POSITIVE)),
     "force-quadrature": (force, {"profile": PIT, **POINT, "method": "quadrature",
                                  "tol": 1.0e-9}, {**AT_POINT, "tol": POSITIVE}),
-    "force-full": (force, {"profile": PERFECT, **POINT, "method": "full", "tol": 1.0e-12},
-                   {**AT_POINT, "tol": POSITIVE}),
+    "force-full": (force, {"profile": PERFECT, **POINT, "method": "full"}, AT_POINT),
     "force-simplified": (force, {"profile": PERFECT, **POINT, "method": "simplified"},
                          AT_POINT),
     "force-bubble": (force, {"profile": BUBBLE, **POINT, "method": "bubble"}, AT_POINT),
     "force-pit": (force, {"profile": PIT, **POINT, "method": "pit"}, AT_POINT),
     "force_perfect_simplified": (force_perfect_simplified, {**POINT, "R": R},
                                  {**AT_POINT, "R": POSITIVE}),
-    "force_perfect_full": (force_perfect_full, {**POINT, "R": R, "D": R, "quad_tol": 1.0e-12},
-                           {**AT_POINT, "R": POSITIVE, "D": POSITIVE,
-                            "quad_tol": POSITIVE}),
+    "force_perfect_full": (force_perfect_full, {**POINT, "R": R, "D": R},
+                           {**AT_POINT, "R": POSITIVE, "D": POSITIVE}),
     "force_bubble": (force_bubble, {**POINT, "R": R, "R1": 0.25, "D1": 0.5e-6},
                      {**AT_POINT, "R": POSITIVE, "R1": NON_NEGATIVE, "D1": NON_NEGATIVE}),
     "force_pit": (force_pit, {**POINT, "R": R, "R1": 0.12, "D1": 1.0e-6},

@@ -80,6 +80,22 @@ def test_quadrature_matches_full_form_on_perfect_profile():
         assert abs(quadrature / full - 1.0) < 1.0e-6
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    R=st.floats(min_value=0.01, max_value=1.0),
+    thickness=st.floats(min_value=1.0e-4, max_value=1.0),
+    a=st.floats(min_value=0.1e-6, max_value=10.0e-6),
+    T=st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=1000.0)),
+)
+def test_full_form_by_parts_matches_quadrature(R, thickness, a, T):
+    # D = thickness * R >= 1 um keeps a/D <= 10: the form's rounding error
+    # grows as a/D, since R F_pp(a) and (R - D) F_pp(a + D) cancel as D -> 0.
+    profile = LensProfile.perfect(R, thickness * R)
+    full = force(profile, a, T, "full").value
+    quadrature = force_general(profile, a, T, quad_tol=1.0e-12).value
+    assert abs(full / quadrature - 1.0) <= 1.0e-10
+
+
 def test_quadrature_matches_bubble_closed_form():
     quadrature = force_general(BUBBLE_WIDE, 1.0e-6, T_BENCH).value
     closed = force_bubble(1.0e-6, T_BENCH, R_BENCH, 0.25, 0.5e-6).value

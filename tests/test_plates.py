@@ -20,7 +20,7 @@ from caslens import (
 from caslens import plates
 from caslens.constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from caslens.exceptions import QuadratureError
-from caslens.plates import ZETA3
+from caslens.plates import ZETA3, free_energy_integral_pp
 
 # Reference values frozen from independent evaluations (brute-force thermal
 # sum and central finite differences); see tests below for the live checks.
@@ -57,7 +57,7 @@ def euler_maclaurin_sum(mp, g, N=16, K=14):
 
 
 def mpmath_plates(mp, z, T):
-    """F_pp and P_pp at 30 digits, summing the direct series in tau.
+    """F_pp, P_pp and E_pp at 30 digits, summing the direct series in tau.
 
     No dual form is used, so the kernel's representation below 2 pi is
     checked against the series it replaces."""
@@ -76,12 +76,18 @@ def mpmath_plates(mp, z, T):
             w = 1 / (1 - x)
             return x * w * (2 + 2 * u * w + u * u * (1 + x) * w * w) / n**3
 
+        def integral_term(n):
+            x = mp.exp(-n * t)
+            return x / ((1 - x) * n**3)
+
         bracket = mp.zeta(3) / 2 + euler_maclaurin_sum(mp, energy_term)
         pressure_bracket = mp.zeta(3) + euler_maclaurin_sum(mp, pressure_term)
+        integral_bracket = mp.zeta(3) / 2 + euler_maclaurin_sum(mp, integral_term)
         hbar_c = mp.mpf(REDUCED_PLANCK) * mp.mpf(LIGHT_SPEED)
         z = mp.mpf(z)
         return (-t * hbar_c * bracket / (16 * mp.pi**2 * z**3),
-                -t * hbar_c * pressure_bracket / (16 * mp.pi**2 * z**4))
+                -t * hbar_c * pressure_bracket / (16 * mp.pi**2 * z**4),
+                -t * hbar_c * integral_bracket / (16 * mp.pi**2 * z**2))
 
 
 def relative_error(value, reference):
@@ -205,17 +211,22 @@ def test_zero_temperature_dedicated_path():
     assert result.value == expected
     assert math.isinf(result.bracket)
     assert result.terms_used == 0
+    # g(0) is 1.0 exactly, so E_pp takes the closed zero-temperature value.
+    assert plates._plate_kernel(0.0)[2] == 1.0
+    assert free_energy_integral_pp(z, 0.0) == (
+        -math.pi**2 * REDUCED_PLANCK * LIGHT_SPEED / (1440.0 * z**2))
 
 
 def assert_kernel_matches_mpmath(target):
     mp = pytest.importorskip("mpmath")
     z = 1.0e-6
     T = temperature_for_tau(z, target)
-    reference_f, reference_p = mpmath_plates(mp, z, T)
+    reference_f, reference_p, reference_e = mpmath_plates(mp, z, T)
     result = free_energy_pp(z, T)
     assert result.terms_used <= 6
     assert relative_error(result.value, reference_f) <= KERNEL_REL_BOUND
     assert relative_error(pressure_pp(z, T), reference_p) <= KERNEL_REL_BOUND
+    assert relative_error(free_energy_integral_pp(z, T), reference_e) <= KERNEL_REL_BOUND
 
 
 def test_small_tau_is_served_by_the_dual_series():
@@ -235,8 +246,9 @@ def test_kernel_is_continuous_across_two_pi():
     z = 1.0e-6
     below, above = (temperature_for_tau(z, t) for t in TAU_GRID[-2:])
     reference = [mpmath_plates(mp, z, T) for T in (below, above)]
-    kernel = [(free_energy_pp(z, T).value, pressure_pp(z, T)) for T in (below, above)]
-    for i in (0, 1):
+    kernel = [(free_energy_pp(z, T).value, pressure_pp(z, T), free_energy_integral_pp(z, T))
+              for T in (below, above)]
+    for i in range(3):
         step = (kernel[1][i] - kernel[0][i]) - (reference[1][i] - reference[0][i])
         assert float(abs(step / reference[0][i])) <= 2.0 * KERNEL_REL_BOUND
 
@@ -290,6 +302,14 @@ def test_matsubara_term_domain():
         matsubara_term(1.0e-6, 0.0, 0)
     with pytest.raises(ValueError):
         matsubara_term(1.0e-6, 300.0, -1)
+
+
+@pytest.mark.parametrize("l", [0.5, math.nan, math.inf])
+def test_matsubara_index_must_be_an_integer(l):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="non-negative integer"):
+        matsubara_term(1.0e-6, 300.0, l)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_oracle_reports_truncation_instead_of_lying():

@@ -1,9 +1,11 @@
 """The adaptive Gauss-Kronrod rule against QUADPACK (scipy.integrate.quad).
 
 The panels are the ones caslens integrates: the inner and log-space outer
-panels of ``force_general``, the separation integral of
-``force_perfect_full`` and the momentum integral of the thermal-sum oracle.
-On smooth panels the rule must take exactly QUADPACK's bisections.
+panels of ``force_general`` and the momentum integral of the thermal-sum
+oracle.  On smooth panels the rule must take exactly QUADPACK's bisections.
+The log-space separation integral of F_pp is no caslens panel: it is the
+quadrature reference for the closed antiderivative that
+``force_perfect_full`` uses.
 """
 
 import math
@@ -20,7 +22,7 @@ from caslens import (
     pressure_pp,
 )
 from caslens.lens import height_function
-from caslens.plates import _momentum_integrand
+from caslens.plates import _momentum_integrand, free_energy_integral_pp
 from caslens.quadrature import integrate
 
 T = 300.0
@@ -83,6 +85,9 @@ def test_separation_integral_matches_quadpack(quad, a):
         return free_energy_pp(z, T).value * z
 
     assert_matches_quadpack(quad, integrand, math.log(a), math.log(R + a), 1.0e-12)
+    integral = integrate(integrand, math.log(a), math.log(R + a), rel_tol=1.0e-12)[0]
+    by_parts = free_energy_integral_pp(a, T) - free_energy_integral_pp(R + a, T)
+    assert abs(by_parts / integral - 1.0) <= 1.0e-12
 
 
 @pytest.mark.parametrize("m", [0.3, 1.0, 5.0, 20.0])
