@@ -52,7 +52,6 @@ deliberately independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from .exceptions import ConvergenceError, QuadratureError
@@ -68,6 +67,8 @@ _FOUR_PI_SQ = 4.0 * _PI_SQ
 _F_NORM = 45.0 / math.pi**4  # f = _F_NORM * tau * B
 _P_NORM = 15.0 / math.pi**4  # p = _P_NORM * tau * (2B - tau B')
 _G_NORM = 90.0 / math.pi**4  # g = _G_NORM * tau * S
+#: zeta(3)/2, the classical (tau -> inf) floor of the bracket B.
+_BRACKET_FLOOR = 0.5 * ZETA3
 #: -pi^2 hbar c, multiplied in the order of every F_pp, P_pp and E_pp product.
 _MINUS_PI_SQ_HBAR_C = -_PI_SQ * REDUCED_PLANCK * LIGHT_SPEED
 
@@ -97,7 +98,6 @@ def tau(z: float, T: float) -> float:
     return 4.0 * math.pi * z * BOLTZMANN * T / (REDUCED_PLANCK * LIGHT_SPEED)
 
 
-@dataclass(frozen=True)
 class FreeEnergyAreal:
     """Free energy per unit plate area.
 
@@ -105,21 +105,32 @@ class FreeEnergyAreal:
     bracket     the dimensionless bracket B multiplying -k_B T/(4 pi z^2);
                 +inf at T = 0, where that representation degenerates
     terms_used  number of series terms (or thermal-sum indices) evaluated
+
+    A plain record: fields compare equal field by field and are not frozen.
     """
 
-    value: float
-    bracket: float
-    terms_used: int
+    __slots__ = ("value", "bracket", "terms_used")
 
-    def __post_init__(self) -> None:
-        if not self.value < 0.0:
-            raise ValueError(f"areal free energy must be negative, got {self.value!r}")
-        if self.bracket < 0.5 * ZETA3:
-            raise ValueError(
-                f"bracket {self.bracket!r} below its classical floor {0.5 * ZETA3!r}"
-            )
-        if self.terms_used < 0:
+    def __init__(self, value: float, bracket: float, terms_used: int) -> None:
+        if not value < 0.0:
+            raise ValueError(f"areal free energy must be negative, got {value!r}")
+        if bracket < _BRACKET_FLOOR:
+            raise ValueError(f"bracket {bracket!r} below its classical floor {_BRACKET_FLOOR!r}")
+        if terms_used < 0:
             raise ValueError("terms_used must be non-negative")
+        self.value = value
+        self.bracket = bracket
+        self.terms_used = terms_used
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.value, self.bracket, self.terms_used)
+                == (other.value, other.bracket, other.terms_used))
+
+    def __repr__(self) -> str:
+        return (f"FreeEnergyAreal(value={self.value!r}, bracket={self.bracket!r}, "
+                f"terms_used={self.terms_used!r})")
 
 
 def _moments(a: float) -> tuple[float, float, float, int]:

@@ -15,6 +15,7 @@ from caslens import (
     force_perfect_simplified,
     force_pit,
     profile_height,
+    ratio_curve,
     tau,
     validate_spec,
 )
@@ -29,6 +30,12 @@ POINT = {"a": 1.0e-6, "T": 300.0}
 POSITIVE = (0.0, -1.0)
 NON_NEGATIVE = (-1.0,)
 AT_POINT = {"a": POSITIVE, "T": NON_NEGATIVE}
+
+
+def ratio_curve_ending_at(profile, a, T):
+    """ratio_curve on a two-point grid whose last point is a."""
+    return ratio_curve(profile, (0.5e-6, a), T)
+
 
 # label: (entry, a valid call's keyword arguments, {argument: its domain})
 ENTRIES = {
@@ -55,6 +62,7 @@ ENTRIES = {
                   {**AT_POINT, "R": POSITIVE, "R1": NON_NEGATIVE, "D1": NON_NEGATIVE}),
     "force_general": (force_general, {"profile": BUBBLE, **POINT, "quad_tol": 1.0e-9},
                       {**AT_POINT, "quad_tol": POSITIVE}),
+    "ratio_curve": (ratio_curve_ending_at, {"profile": PIT, **POINT}, AT_POINT),
     "profile_height": (profile_height, {"profile": BUBBLE, "rho": 1.0e-4, "a": 1.0e-6},
                        {"rho": NON_NEGATIVE, "a": POSITIVE}),
     "validate_spec": (validate_spec, {"profile": BUBBLE, "curvature_tolerance": 5.0e-4},

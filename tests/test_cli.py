@@ -252,6 +252,20 @@ def test_separation_outside_the_float_range_is_usage_error(capsys, argv, separat
         "_pp outside the float range"]
 
 
+@pytest.mark.parametrize("method, thickness", [
+    ("quadrature", "5e-324"),   # D (2R - D) rounds to 0: no lateral extent
+    ("full", "1e-300"),         # D + a rounds to a: the by-parts terms cancel
+])
+def test_vanishing_lens_thickness_is_usage_error(capsys, method, thickness):
+    code = main(["force", "--method", method, "--R", "15cm", "--D", thickness,
+                 "--a-list", "1um"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: lens thickness D=") and thickness in line
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_combine_errors_rejects_non_finite_value(tmp_path, capsys, value):
     budget = tmp_path / "budget.cfg"

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from caslens import pfa
 from caslens import (
     ForceMethod,
     ForceResult,
@@ -23,6 +24,7 @@ from caslens import (
     lateral_extent,
     ratio_curve,
 )
+from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN
 
 R_BENCH = 0.15
 T_BENCH = 300.0
@@ -70,6 +72,12 @@ def test_full_form_thickness_validation():
         force_perfect_full(1.0e-6, T_BENCH, R_BENCH, D=0.0)
     with pytest.raises(ValueError):
         force_perfect_full(1.0e-6, T_BENCH, R_BENCH, D=0.31)
+
+
+def test_full_form_refuses_a_thickness_whose_terms_cancel():
+    # D + a rounds to a, so R F_pp(a) - (R - D) F_pp(a + D) is exactly 0.
+    with pytest.raises(ValueError, match=r"D=1e-300 .*cancel"):
+        force_perfect_full(1.0e-6, T_BENCH, R_BENCH, 1.0e-300)
 
 
 def test_quadrature_matches_full_form_on_perfect_profile():
@@ -126,6 +134,13 @@ def test_quadrature_with_injected_constant_kernel():
     result = force_general(profile, 1.0e-6, T_BENCH, pressure_fn=lambda z: -1.0)
     expected = -math.pi * lateral_extent(profile) ** 2
     assert_allclose(result.value, expected, rtol=1.0e-9)
+
+
+def test_quadrature_refuses_a_lens_without_lateral_extent():
+    profile = LensProfile.perfect(R_BENCH, 5.0e-324)
+    assert lateral_extent(profile) == 0.0
+    with pytest.raises(ValueError, match=r"D=5e-324 .*no lateral extent"):
+        force_general(profile, 1.0e-6, T_BENCH)
 
 
 def test_quadrature_requires_single_valued_surface():
@@ -198,6 +213,44 @@ def test_ratio_curve_rejects_perfect_profiles():
         ratio_curve(LensProfile.perfect(R=R_BENCH), BENCH_SEPARATIONS, T_BENCH)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    pit=st.booleans(),
+    R=st.floats(min_value=0.01, max_value=1.0),
+    D1=st.floats(min_value=0.1e-6, max_value=2.0e-6),
+    footprint=st.floats(min_value=FOOTPRINT_DIAMETER_MIN, max_value=FOOTPRINT_DIAMETER_MAX),
+    separations=st.lists(st.floats(min_value=0.1e-6, max_value=10.0e-6),
+                         min_size=1, max_size=5, unique=True),
+    T=st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=1000.0)),
+)
+def test_ratio_curve_equals_the_ratio_of_forces(pit, R, D1, footprint, separations, T):
+    r = 0.5 * footprint
+    R1 = (r * r + D1 * D1) / (2.0 * D1)
+    assume(not pit or R1 < R)
+    profile = (LensProfile.pit if pit else LensProfile.bubble)(R, R1, D1)
+    perfect = LensProfile.perfect(R, profile.D)
+    grid = sorted(separations)
+    curve = ratio_curve(profile, grid, T)
+    assert curve.separations == tuple(grid)
+    for a, ratio in zip(grid, curve.ratios):
+        expected = force(profile, a, T).value / force(perfect, a, T).value
+        assert ratio.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("profile", [BUBBLE_WIDE, PIT_CASE])
+def test_ratio_curve_evaluates_each_distinct_gap_once(monkeypatch, profile):
+    calls = []
+
+    def counted(z, T):
+        calls.append(z)
+        return free_energy_pp(z, T)
+
+    monkeypatch.setattr(pfa, "free_energy_pp", counted)
+    grid = (1.0e-6, 1.5e-6, 2.0e-6, 2.5e-6, 3.0e-6)
+    ratio_curve(profile, grid, T_BENCH)
+    assert len(calls) == 2 * len(grid)
+
+
 def test_ratio_curve_container_validation():
     with pytest.raises(ValueError):
         RatioCurve(separations=(1.0e-6, 2.0e-6), ratios=(1.0,),
@@ -214,6 +267,22 @@ def test_force_result_validation():
     with pytest.raises(ValueError):
         ForceResult(magnitude=-1.0, attractive=True,
                     method=ForceMethod.PERFECT_SIMPLIFIED, a=1.0e-6, T=300.0)
+
+
+def test_force_result_is_a_plain_record():
+    by_keyword = ForceResult(magnitude=2.0, attractive=True, method=ForceMethod.BUBBLE,
+                             a=1.0e-6, T=300.0)
+    by_position = ForceResult(2.0, True, ForceMethod.BUBBLE, 1.0e-6, 300.0, None)
+    assert by_keyword == by_position
+    assert not by_keyword != by_position
+    assert by_keyword.value == -2.0
+    assert by_keyword != ForceResult(2.0, False, ForceMethod.BUBBLE, 1.0e-6, 300.0)
+    assert by_keyword != ForceResult(2.0, True, ForceMethod.PIT, 1.0e-6, 300.0)
+    assert by_keyword != ForceResult(2.0, True, ForceMethod.BUBBLE, 1.0e-6, 300.0, "note")
+    assert by_keyword != (2.0, True, ForceMethod.BUBBLE, 1.0e-6, 300.0, None)
+    assert repr(by_position) == (
+        "ForceResult(magnitude=2.0, attractive=True, method=<ForceMethod.BUBBLE: "
+        "'bubble'>, a=1e-06, T=300.0, warning=None)")
 
 
 def test_method_labels_are_stable():

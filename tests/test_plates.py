@@ -379,3 +379,16 @@ def test_free_energy_areal_invariants():
         FreeEnergyAreal(value=-1.0, bracket=0.1, terms_used=1)
     with pytest.raises(ValueError):
         FreeEnergyAreal(value=-1.0, bracket=1.0, terms_used=-2)
+
+
+def test_free_energy_areal_is_a_plain_record():
+    by_keyword = FreeEnergyAreal(value=-1.0, bracket=1.0, terms_used=3)
+    by_position = FreeEnergyAreal(-1.0, 1.0, 3)
+    assert by_keyword == by_position
+    assert not by_keyword != by_position
+    assert by_keyword != FreeEnergyAreal(-2.0, 1.0, 3)
+    assert by_keyword != FreeEnergyAreal(-1.0, 1.5, 3)
+    assert by_keyword != FreeEnergyAreal(-1.0, 1.0, 4)
+    assert by_keyword != (-1.0, 1.0, 3)
+    assert repr(by_keyword) == "FreeEnergyAreal(value=-1.0, bracket=1.0, terms_used=3)"
+    assert free_energy_pp(1.0e-6, 300.0) == free_energy_pp(1.0e-6, 300.0)
