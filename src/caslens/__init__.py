@@ -56,7 +56,6 @@ from .plates import (
     FreeEnergyAreal,
     free_energy_pp,
     free_energy_pp_oracle,
-    matsubara_term,
     pressure_pp,
     tau,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "FreeEnergyAreal",
     "free_energy_pp",
     "free_energy_pp_oracle",
-    "matsubara_term",
     "pressure_pp",
     "tau",
     "__version__",

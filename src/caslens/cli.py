@@ -43,8 +43,8 @@ _BENCHMARK_CASES = (
 )
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A command line or configuration the commands cannot run; exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,9 +354,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

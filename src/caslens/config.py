@@ -11,51 +11,44 @@ import math
 import re
 from pathlib import Path
 
-_LENGTH_FACTORS = {
-    "nm": 1.0e-9,
-    "um": 1.0e-6,
-    "mm": 1.0e-3,
-    "cm": 1.0e-2,
-    "m": 1.0,
+#: Unit factors of each quantity; an empty suffix is the SI unit.
+_UNITS = {
+    "length": {"": 1.0, "nm": 1.0e-9, "um": 1.0e-6, "mm": 1.0e-3, "cm": 1.0e-2, "m": 1.0},
+    "temperature": {"": 1.0, "K": 1.0},
 }
+
+#: Most points ``build_grid`` builds; a larger grid is refused before any
+#: point is computed.
+_MAX_GRID_POINTS = 100_000
 
 _NUMBER_WITH_UNIT = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([a-zA-Z]*)\s*$"
 )
 
 
-def parse_length(text: str | float) -> float:
-    """Parse a length with an optional unit suffix into metres."""
-    if isinstance(text, (int, float)):
-        return float(text)
+def _parse(quantity: str, text: str) -> float:
+    """A number with an optional unit suffix of ``quantity``, in SI units."""
     match = _NUMBER_WITH_UNIT.match(text)
     if not match:
-        raise ValueError(f"cannot parse length {text!r}")
+        raise ValueError(f"cannot parse {quantity} {text!r}")
     number, unit = match.groups()
-    if unit == "":
-        unit = "m"
-    if unit not in _LENGTH_FACTORS:
-        raise ValueError(f"unknown length unit {unit!r} in {text!r}")
-    value = float(number) * _LENGTH_FACTORS[unit]
+    factors = _UNITS[quantity]
+    if unit not in factors:
+        raise ValueError(f"unknown {quantity} unit {unit!r} in {text!r}")
+    value = float(number) * factors[unit]
     if not math.isfinite(value):
-        raise ValueError(f"length {text!r} is not finite")
+        raise ValueError(f"{quantity} {text!r} is not finite")
     return value
 
 
-def parse_temperature(text: str | float) -> float:
-    """Parse a temperature in kelvin (optional trailing K)."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    match = _NUMBER_WITH_UNIT.match(text)
-    if not match:
-        raise ValueError(f"cannot parse temperature {text!r}")
-    number, unit = match.groups()
-    if unit not in ("", "K"):
-        raise ValueError(f"unknown temperature unit {unit!r} in {text!r}")
-    value = float(number)
-    if not math.isfinite(value):
-        raise ValueError(f"temperature {text!r} is not finite")
-    return value
+def parse_length(text: str) -> float:
+    """Metres from a string with an optional length suffix; strings only."""
+    return _parse("length", text)
+
+
+def parse_temperature(text: str) -> float:
+    """Kelvin from a string with an optional trailing K; strings only."""
+    return _parse("temperature", text)
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -81,7 +74,8 @@ def build_grid(start: float, stop: float, step: float) -> list[float]:
     """Inclusive arithmetic grid; empty when stop < start.
 
     The end point is included with a small tolerance so decimal steps like
-    0.05 um land exactly 41 points on [1 um, 3 um].
+    0.05 um land exactly 41 points on [1 um, 3 um].  A grid of more than
+    100 000 points is a ValueError.
     """
     if not start > 0.0:
         raise ValueError(f"grid start must be positive, got {start!r}")
@@ -89,5 +83,8 @@ def build_grid(start: float, stop: float, step: float) -> list[float]:
         return []
     if not step > 0.0:
         raise ValueError(f"grid step must be positive, got {step!r}")
-    count = int(math.floor((stop - start) / step + 1.0e-9)) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step + 1.0e-9
+    if not span < _MAX_GRID_POINTS:  # +inf too, when the division overflows
+        raise ValueError(f"grid from {start!r} to {stop!r} in steps of {step!r} "
+                         f"exceeds {_MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(span) + 1)]

@@ -57,14 +57,10 @@ class Rule(Enum):
     BLEND = "blend"
 
 
-def combine_systematic(
-    components: Sequence[float], k: float, j: int | None = None
-) -> float:
+def combine_systematic(components: Sequence[float], k: float) -> float:
     """Combine systematic error components at a common confidence level.
 
-    Returns min(sum, k * root-sum-square).  ``j``, when given, must equal
-    the number of components (it guards table-driven callers against a
-    mismatched coefficient).
+    Returns min(sum, k * root-sum-square).
     """
     values = [float(c) for c in components]
     if not values:
@@ -73,10 +69,6 @@ def combine_systematic(
         raise ValueError("systematic components must be non-negative")
     if not k > 0.0:
         raise ValueError(f"combination coefficient k must be positive, got {k!r}")
-    if j is not None and j != len(values):
-        raise ValueError(
-            f"component count mismatch: j={j} but {len(values)} components given"
-        )
     linear = sum(values)
     quadratic = k * math.sqrt(sum(v * v for v in values))
     return min(linear, quadratic)
@@ -211,7 +203,7 @@ def total_error(budget: ErrorBudget, measured_value: float | None = None) -> Com
                 f"no combination coefficient k for J={count} at beta={budget.beta}; "
                 "provide one in the k table"
             )
-        delta_s = combine_systematic(components, budget.k_table[key], count)
+        delta_s = combine_systematic(components, budget.k_table[key])
     r, rule = select_rule(delta_s, budget.variance_of_mean)
     if rule is Rule.RANDOM_DOMINATES:
         total = delta_r

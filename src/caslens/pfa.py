@@ -25,9 +25,10 @@ evaluates F_pp once per distinct gap of each grid point (a and a + D1) and
 shares the closed-form expressions with ``force``, so its ratios are the
 same floats as the ratios of ``force`` results.
 
-All closed forms drop terms of relative order (a, d, D1)/R, i.e. around
-1e-5 for micrometer separations and centimeter lenses; the general
-quadrature keeps them and is the cross-check.
+The simplified, bubble and pit forms drop terms of relative order
+(a, d, D1)/R, i.e. around 1e-5 for micrometer separations and centimeter
+lenses; ``full`` is exact within the PFA, and the general quadrature keeps
+every term and is the cross-check.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ from .quadrature import integrate
 
 #: Default relative tolerance for the PFA quadrature.
 DEFAULT_QUAD_TOL = 1.0e-9
+
+#: Relative accuracy of each plate-kernel value (tested against mpmath).
+_KERNEL_ACCURACY = 2.0e-15
 
 #: a/R above which the simplified closed form carries an applicability note.
 _SIMPLIFIED_RATIO_LIMIT = 1.0e-2
@@ -126,9 +130,16 @@ def _simplified_value(R: float, F: float) -> float:
     return 2.0 * math.pi * R * F
 
 
-def _two_term_value(R: float, R1: float, rim: float, cap: float) -> float:
-    """2 pi ((R - R1) rim + R1 cap), the bubble and pit forms at F_pp values."""
-    return 2.0 * math.pi * ((R - R1) * rim + R1 * cap)
+def _two_term_value(a: float, T: float, R: float, R1: float, D1: float,
+                    pit: bool) -> tuple[float, float]:
+    """The signed 2 pi ((R - R1) F_rim + R1 F_cap), and F_pp(a).
+
+    A bubble's cap sits at gap a and its rim at a + D1; a pit swaps them.
+    """
+    near = free_energy_pp(a, T).value
+    far = free_energy_pp(a + D1, T).value
+    rim, cap = (near, far) if pit else (far, near)
+    return 2.0 * math.pi * ((R - R1) * rim + R1 * cap), near
 
 
 def force_perfect_simplified(a: float, T: float, R: float) -> ForceResult:
@@ -161,42 +172,39 @@ def force_perfect_full(a: float, T: float, R: float, D: float | None = None) -> 
     from a to D + a is E_pp(a) - E_pp(D + a) and no quadrature runs.  D
     defaults to R (hemisphere), where the middle term vanishes.
 
-    For D << a the first two terms nearly cancel, so the result loses
-    relative accuracy as a/D: about 2.8e-7 at a = 1 um, D = 1e-16 m.  A D
-    so thin that the sum is not negative (D + a rounds to a, say) is a
-    ValueError.
+    For D << a the four terms t_i in the bracket nearly cancel.  Each
+    kernel value is within 2e-15 of exact (relative), so the bracket is
+    within 2e-15 sum |t_i| / |bracket| of exact; the result is served only
+    when the bracket is negative and that bound is at most
+    DEFAULT_QUAD_TOL (1e-9), and otherwise D is too thin and the call is a
+    ValueError.  At a = 1 um, 300 K and R = 15 cm, D = 1e-11 m is served
+    (bound 1.4e-10) and D = 1e-12 m is refused (bound 1.4e-9).
     """
     _validate_point(a, T, R)
     if D is None:
         D = R
     if not 0.0 < D <= 2.0 * R:
         raise ValueError(f"lens thickness D={D!r} must satisfy 0 < D <= 2R")
-    signed = 2.0 * math.pi * (
-        R * free_energy_pp(a, T).value
-        - (R - D) * free_energy_pp(D + a, T).value
-        - free_energy_integral_pp(a, T)
-        + free_energy_integral_pp(D + a, T)
-    )
-    if not signed < 0.0:
+    near = R * free_energy_pp(a, T).value
+    far = (R - D) * free_energy_pp(D + a, T).value
+    e_near, e_far = free_energy_integral_pp(a, T), free_energy_integral_pp(D + a, T)
+    bracket = near - far - e_near + e_far
+    rounding = _KERNEL_ACCURACY * (abs(near) + abs(far) + abs(e_near) + abs(e_far))
+    if not (bracket < 0.0 and rounding <= DEFAULT_QUAD_TOL * -bracket):
         raise ValueError(f"lens thickness D={D!r} is too thin against a={a!r}: "
-                         "the by-parts terms cancel to a force of 0")
-    return ForceResult(abs(signed), signed < 0.0, ForceMethod.PERFECT_FULL, a, T)
+                         f"the by-parts terms cancel to worse than {DEFAULT_QUAD_TOL:g} "
+                         "relative accuracy")
+    return ForceResult(-2.0 * math.pi * bracket, True, ForceMethod.PERFECT_FULL, a, T)
 
 
 def _two_term(
     a: float, T: float, R: float, R1: float, D1: float, *, pit: bool
 ) -> ForceResult:
-    """2 pi ((R - R1) F_rim + R1 F_cap), the bubble and pit closed forms.
-
-    A bubble's cap sits at gap a and its rim at a + D1; a pit swaps them.
-    """
+    """The bubble and pit closed forms, checked and as a ``ForceResult``."""
     _validate_point(a, T, R)
     check_finite("imperfection radius R1", R1, strict=False)
     check_finite("imperfection depth D1", D1, strict=False)
-    near = free_energy_pp(a, T).value
-    far = near if D1 == 0.0 else free_energy_pp(a + D1, T).value
-    rim, cap = (near, far) if pit else (far, near)
-    signed = _two_term_value(R, R1, rim, cap)
+    signed, _ = _two_term_value(a, T, R, R1, D1, pit)
     method = ForceMethod.PIT if pit else ForceMethod.BUBBLE
     return ForceResult(abs(signed), signed < 0.0, method, a, T)
 
@@ -253,13 +261,13 @@ def force_general(
     slope kink there) and a log-space outer panel so the decades between
     the footprint scale and the lens edge stay cheap.
 
-    Agreement with the closed forms: perfect profiles match
-    ``force_perfect_full`` and bubble profiles match ``force_bubble`` to
-    well inside 1e-3 relative.  Pit profiles are different by design:
-    this routine integrates the actual pit height profile, which is
-    dominated by the rim circle at gap a, whereas ``force_pit`` is the
-    tabulated closed form that weights the pit cap by its deepest gap
-    a + D1.  The two results differ at order R1/R for pits (see the
+    Agreement with the closed forms: perfect profiles match the exact
+    ``force_perfect_full`` to 1e-10 relative (at quad_tol = 1e-12), and
+    bubble profiles match ``force_bubble`` to well inside 1e-3.  Pit
+    profiles are different by design: this routine integrates the actual
+    pit height profile, which is dominated by the rim circle at gap a,
+    whereas ``force_pit`` is the tabulated closed form that weights the
+    pit cap by its deepest gap a + D1.  The two results differ at order R1/R for pits (see the
     ``force_pit`` docstring for the leading-order forms).
 
     ``pressure_fn`` (z -> N/m^2) overrides the parallel-plate pressure
@@ -368,10 +376,7 @@ def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) ->
         check_finite("separation a", a)
         if a >= R:
             raise ValueError(f"a={a!r} is not small against R={R!r}")
-        near = free_energy_pp(a, T).value
-        far = free_energy_pp(a + D1, T).value
-        rim, cap = (near, far) if pit else (far, near)
-        imperfect = _two_term_value(R, R1, rim, cap)
+        imperfect, near = _two_term_value(a, T, R, R1, D1, pit)
         perfect = _simplified_value(R, near)
         check_finite("force magnitude", abs(imperfect), strict=False)
         check_finite("force magnitude", abs(perfect), strict=False)

@@ -279,39 +279,6 @@ def _momentum_integral(m: float) -> float:
     return total
 
 
-def _thermal_value(z: float, T: float, total: float) -> float:
-    """k_B T / (4 pi z^2) times the dimensionless thermal sum ``total``, in J/m^2.
-
-    A separation that drives the prefactor, or a non-zero result, to 0 or
-    out of the float range is refused as F_pp is in ``free_energy_pp``.
-    A zero ``total`` (a far thermal index) gives 0.
-    """
-    try:
-        prefactor = BOLTZMANN * T / (4.0 * math.pi * z * z)
-    except ZeroDivisionError:  # z * z underflowed to 0
-        prefactor = math.inf
-    value = prefactor * total
-    if not (0.0 < prefactor < math.inf and math.isfinite(value)
-            and (value != 0.0 or total == 0.0)):
-        raise ValueError(f"separation {z!r} m puts F_pp outside the float range")
-    return value
-
-
-def matsubara_term(z: float, T: float, l: int) -> float:
-    """Contribution of thermal-sum index l to F_pp, in J/m^2.
-
-    Index 0 carries weight one half.  The l = 0 term alone equals the
-    classical value -(k_B T / (4 pi z^2)) * zeta(3)/2.
-    """
-    if not (l >= 0 and float(l).is_integer()):
-        raise ValueError(f"thermal-sum index must be a non-negative integer, got {l!r}")
-    if not T > 0.0:
-        raise ValueError("the thermal sum requires T > 0")
-    t = tau(z, T)
-    weight = 0.5 if l == 0 else 1.0
-    return _thermal_value(z, T, weight * _momentum_integral(t * l))
-
-
 def free_energy_pp_oracle(z: float, T: float, *, l_max: int = 100_000) -> FreeEnergyAreal:
     """Brute-force thermal sum for F_pp; independent of the closed series.
 
@@ -350,5 +317,14 @@ def free_energy_pp_oracle(z: float, T: float, *, l_max: int = 100_000) -> FreeEn
             f"thermal sum not converged after l_max={l_max} indices at "
             f"tau={t:.3e}; raise l_max"
         )
-    value = _thermal_value(z, T, total)
+    # k_B T / (4 pi z^2) times the sum; a separation that drives the
+    # prefactor or the value to 0 or out of the float range is refused as
+    # F_pp is in ``free_energy_pp``.
+    try:
+        prefactor = BOLTZMANN * T / (4.0 * math.pi * z * z)
+    except ZeroDivisionError:  # z * z underflowed to 0
+        prefactor = math.inf
+    value = prefactor * total
+    if not (0.0 < prefactor < math.inf and -math.inf < value < 0.0):
+        raise ValueError(f"separation {z!r} m puts F_pp outside the float range")
     return FreeEnergyAreal(value=value, bracket=-total, terms_used=terms)

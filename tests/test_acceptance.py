@@ -260,7 +260,7 @@ def test_acceptance_7_error_combination_rules(capsys):
         count = int(rng.integers(1, 7))
         components = list(rng.uniform(0.01, 10.0, count))
         k = float(rng.uniform(1.0, 2.0))
-        combined = combine_systematic(components, k, count)
+        combined = combine_systematic(components, k)
         linear = sum(abs(c) for c in components)
         quadratic = k * math.sqrt(sum(c * c for c in components))
         assert combined == min(linear, quadratic)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,7 @@ def test_separation_outside_the_float_range_is_usage_error(capsys, argv, separat
 @pytest.mark.parametrize("method, thickness", [
     ("quadrature", "5e-324"),   # D (2R - D) rounds to 0: no lateral extent
     ("full", "1e-300"),         # D + a rounds to a: the by-parts terms cancel
+    ("full", "1e-16"),          # the terms cancel beyond the accuracy bound
 ])
 def test_vanishing_lens_thickness_is_usage_error(capsys, method, thickness):
     code = main(["force", "--method", method, "--R", "15cm", "--D", thickness,
@@ -329,6 +331,36 @@ def test_usage_errors(capsys):
     assert main(["fpp", "--a-list", "1um", "--bogus"]) == 1
     assert main(["fpp"]) == 1                                # no grid given
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"],                        # refused by argparse
+    ["fpp", "--a-list", "1um", "--bogus"],      # refused by argparse
+    ["force", "--a-list", "1um"],               # UsageError: missing --R
+    ["fpp"],                                    # UsageError: no grid given
+])
+def test_usage_error_prints_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("stop, step", [
+    ("3um", "1e-20"),       # 2e14 points: refused before any point is built
+    ("1m", "5e-324"),       # the point count overflows to inf
+])
+def test_oversized_grid_is_usage_error(capsys, stop, step):
+    start = time.perf_counter()
+    code = main(["fpp", "--a-start", "1um", "--a-stop", stop, "--a-step", step])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: grid from") and "exceeds 100000 points" in line
+    assert elapsed < 0.05
 
 
 def test_error_paths_leave_no_partial_file(tmp_path, capsys):

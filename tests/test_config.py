@@ -1,6 +1,7 @@
 """Unit parsing, key-value files and separation grids."""
 
-import math
+import re
+import time
 
 import pytest
 
@@ -14,13 +15,20 @@ def test_parse_length_units():
     assert parse_length("15cm") == pytest.approx(0.15, rel=1.0e-15)
     assert parse_length("2.5e-6") == 2.5e-6          # bare numbers are metres
     assert parse_length("1.5 m") == 1.5
-    assert parse_length(3.0e-6) == 3.0e-6            # numbers pass through
     assert parse_length("+2um") == pytest.approx(2.0e-6)
 
 
 def test_parse_length_errors():
-    for bad in ("", "abc", "1 parsec", "1..2um", "1e999um"):
-        with pytest.raises(ValueError):
+    for bad, message in [
+        ("", "cannot parse length ''"),
+        ("abc", "cannot parse length 'abc'"),
+        ("1..2um", "cannot parse length '1..2um'"),
+        ("1 parsec", "unknown length unit 'parsec' in '1 parsec'"),
+        ("300K", "unknown length unit 'K' in '300K'"),
+        ("1e999um", "length '1e999um' is not finite"),
+        ("1e999", "length '1e999' is not finite"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_length(bad)
 
 
@@ -28,11 +36,14 @@ def test_parse_temperature():
     assert parse_temperature("300") == 300.0
     assert parse_temperature("300K") == 300.0
     assert parse_temperature("300 K") == 300.0
-    assert parse_temperature(77.0) == 77.0
-    with pytest.raises(ValueError):
-        parse_temperature("300C")
-    with pytest.raises(ValueError):
-        parse_temperature("warm")
+    for bad, message in [
+        ("warm", "cannot parse temperature 'warm'"),
+        ("300C", "unknown temperature unit 'C' in '300C'"),
+        ("1um", "unknown temperature unit 'um' in '1um'"),
+        ("1e999K", "temperature '1e999K' is not finite"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_temperature(bad)
 
 
 def test_parse_kv_file(tmp_path):
@@ -75,3 +86,19 @@ def test_build_grid_corner_cases():
         build_grid(0.0, 1.0e-6, 0.5e-6)
     with pytest.raises(ValueError):
         build_grid(1.0e-6, 2.0e-6, 0.0)
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (1.0, 100_001.0, 1.0),          # 100 001 points
+    (1.0e-6, 3.0e-6, 1.0e-20),      # 2e14 points
+    (1.0e-6, 1.0, 5.0e-324),        # the count overflows to inf
+])
+def test_build_grid_refuses_too_many_points(start, stop, step):
+    began = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds 100000 points"):
+        build_grid(start, stop, step)
+    assert time.perf_counter() - began < 0.05
+
+
+def test_build_grid_serves_the_largest_grid():
+    assert len(build_grid(1.0, 100_000.0, 1.0)) == 100_000

@@ -35,12 +35,6 @@ def test_combine_quadratic_branch_can_win():
         1.1 * math.sqrt(3.0))
 
 
-def test_combine_component_count_guard():
-    assert combine_systematic([3.0, 4.0], 1.1, j=2) == pytest.approx(5.5)
-    with pytest.raises(ValueError):
-        combine_systematic([3.0, 4.0], 1.1, j=3)
-
-
 def test_combine_validation():
     with pytest.raises(ValueError):
         combine_systematic([], 1.1)

@@ -80,6 +80,22 @@ def test_full_form_refuses_a_thickness_whose_terms_cancel():
         force_perfect_full(1.0e-6, T_BENCH, R_BENCH, 1.0e-300)
 
 
+@pytest.mark.parametrize("D", [1.0e-12, 1.0e-16, 1.0e-20])
+def test_full_form_refuses_a_thickness_beyond_its_accuracy_bound(D):
+    # 2e-15 sum |t_i| / |bracket| exceeds 1e-9 (6.8e5 x 2e-15 at 1e-12 m);
+    # at 1e-16 and 1e-20 m the value would be 2.8e-7 and 1.4e-2 off.
+    with pytest.raises(ValueError, match=f"D={D!r} is too thin .*1e-09"):
+        force_perfect_full(1.0e-6, T_BENCH, R_BENCH, D)
+
+
+@pytest.mark.parametrize("D", [1.0e-11, 1.0e-9])
+def test_full_form_serves_a_thin_lens_within_its_bound(D):
+    full = force_perfect_full(1.0e-6, T_BENCH, R_BENCH, D).value
+    quadrature = force_general(LensProfile.perfect(R_BENCH, D), 1.0e-6, T_BENCH,
+                               quad_tol=1.0e-12).value
+    assert abs(full / quadrature - 1.0) <= 1.0e-9
+
+
 def test_quadrature_matches_full_form_on_perfect_profile():
     profile = LensProfile.perfect(R=R_BENCH)
     for a in (1.0e-6, 2.0e-6, 3.0e-6):

@@ -13,7 +13,6 @@ from caslens import (
     FreeEnergyAreal,
     free_energy_pp,
     free_energy_pp_oracle,
-    matsubara_term,
     pressure_pp,
     tau,
 )
@@ -124,9 +123,8 @@ def test_tau_domain_errors():
 @pytest.mark.parametrize("kernel", [
     free_energy_pp,
     pressure_pp,
-    lambda z, T: matsubara_term(z, T, 1),
     free_energy_pp_oracle,
-], ids=["free_energy_pp", "pressure_pp", "matsubara_term", "free_energy_pp_oracle"])
+], ids=["free_energy_pp", "pressure_pp", "free_energy_pp_oracle"])
 def test_non_finite_inputs_are_domain_errors(kernel, z, T):
     # Refused in tau() before any series or thermal sum starts.
     start = time.perf_counter()
@@ -142,10 +140,6 @@ def test_non_finite_inputs_are_domain_errors(kernel, z, T):
     (pressure_pp, 1.0e100, 0.0),
     (free_energy_pp, 1.0e200, 300.0),
     (pressure_pp, 1.0e200, 300.0),
-    pytest.param(lambda z, T: matsubara_term(z, T, 1), 1.0e-300, 300.0,
-                 id="matsubara_term-l1-1e-300-300.0"),
-    pytest.param(lambda z, T: matsubara_term(z, T, 0), 1.0e-170, 300.0,
-                 id="matsubara_term-l0-1e-170-300.0"),
     (free_energy_pp_oracle, 1.0e-170, 1.0e300),
     (free_energy_pp_oracle, 1.0e-160, 1.0e300),
     (free_energy_pp_oracle, 1.0e200, 300.0),
@@ -292,24 +286,9 @@ def test_series_matches_oracle(target):
 
 
 def test_oracle_classical_index_alone():
-    z, T = 1.0e-6, 300.0
-    expected = -(BOLTZMANN * T / (4.0 * math.pi * z * z)) * 0.5 * ZETA3
-    assert_allclose(matsubara_term(z, T, 0), expected, rtol=1.0e-12)
-
-
-def test_matsubara_term_domain():
-    with pytest.raises(ValueError):
-        matsubara_term(1.0e-6, 0.0, 0)
-    with pytest.raises(ValueError):
-        matsubara_term(1.0e-6, 300.0, -1)
-
-
-@pytest.mark.parametrize("l", [0.5, math.nan, math.inf])
-def test_matsubara_index_must_be_an_integer(l):
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="non-negative integer"):
-        matsubara_term(1.0e-6, 300.0, l)
-    assert time.perf_counter() - start < 0.05
+    # The momentum integral from 0 is -zeta(3), so the classical index alone
+    # gives -(k_B T / (4 pi z^2)) zeta(3)/2.
+    assert_allclose(plates._momentum_integral(0.0), -ZETA3, rtol=1.0e-12)
 
 
 def test_oracle_reports_truncation_instead_of_lying():
@@ -323,7 +302,7 @@ def test_failed_momentum_quadrature_is_a_convergence_error(monkeypatch):
 
     monkeypatch.setattr(plates, "integrate", exhausted)
     with pytest.raises(ConvergenceError, match="momentum integral"):
-        matsubara_term(1.0e-6, 300.0, 0)
+        free_energy_pp_oracle(1.0e-6, 300.0)
 
 
 @pytest.mark.parametrize("z, T", [
