@@ -75,7 +75,7 @@ def build_grid(start: float, stop: float, step: float) -> list[float]:
 
     The end point is included with a small tolerance so decimal steps like
     0.05 um land exactly 41 points on [1 um, 3 um].  A grid of more than
-    100 000 points is a ValueError.
+    100 000 points, or whose points repeat, is a ValueError.
     """
     if not start > 0.0:
         raise ValueError(f"grid start must be positive, got {start!r}")
@@ -87,4 +87,7 @@ def build_grid(start: float, stop: float, step: float) -> list[float]:
     if not span < _MAX_GRID_POINTS:  # +inf too, when the division overflows
         raise ValueError(f"grid from {start!r} to {stop!r} in steps of {step!r} "
                          f"exceeds {_MAX_GRID_POINTS} points")
-    return [start + i * step for i in range(int(span) + 1)]
+    grid = [start + i * step for i in range(int(span) + 1)]
+    if any(b <= prev for prev, b in zip(grid, grid[1:])):
+        raise ValueError(f"grid step {step!r} is below the float spacing of its points")
+    return grid

@@ -250,11 +250,10 @@ def load_k_table(path: str | Path, beta: float) -> dict[tuple[int, float], float
     """Read a two-column (J, k) text table for a single confidence level."""
     table = {}
     for j_value, k in _read_two_column_table(path):
-        count = int(j_value)
-        if count != j_value or count < 1:
+        if not (math.isfinite(j_value) and j_value >= 1 and j_value == int(j_value)):
             raise ValueError(f"{path}: component count must be a positive integer, "
                              f"got {j_value!r}")
-        table[(count, beta)] = k
+        table[(int(j_value), beta)] = k
     return table
 
 

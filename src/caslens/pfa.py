@@ -1,34 +1,28 @@
 """Plate-lens Casimir force via the proximity force approximation (PFA).
 
-The lens surface is sliced into annuli; each annulus at local separation
-z(rho) contributes the parallel-plate pressure over its area:
+Each annulus of the lens at local separation z(rho) contributes the
+parallel-plate pressure over its area:  F = 2 pi integral rho P_pp(z(rho)) drho.
+Every profile here is piecewise spherical.  On a piece of radius R_i,
+rho drho = (R_i - h) dh, so the integral goes by parts into F = F_pp(z, T)
+and its antiderivative E = E_pp(z, T) (``free_energy_integral_pp``) at the
+ends of the pieces.  Every method but ``quadrature`` is then a term list,
+2 pi sum c_i K(z_i) with K = F or E.  With r the footprint radius of a
+bubble or pit and s = R - sqrt(R^2 - r^2) the lens sagitta over it:
 
-    F(a, T) = 2 pi  integral_0^extent  rho P_pp(z(rho), T) drho.
+    simplified     R F(a)
+    bubble         (R - R1) F(a + D1) + R1 F(a)
+    pit            (R - R1) F(a) + R1 F(a + D1)
+    full, perfect  R F(a) - (R - D) F(a + D) - E(a) + E(a + D)
+    full, bubble   R1 F(a) + (R - R1 + D1 - s) F(a + D1) - (R - D) F(z_e)
+                   - E(a) + E(z_e),         z_e = a + D1 - s + D
+    full, pit      (R + R1 - D1 - s) F(a) - R1 F(a + D1) - (R - D) F(z_e)
+                   - E(a + D1) + E(z_e),    z_e = a - s + D
 
-For a perfect spherical lens the integral reduces exactly to
-
-    F = 2 pi R F_pp(a, T) - 2 pi (R - D) F_pp(D + a, T)
-        - 2 pi integral_a^(D+a) F_pp(z, T) dz,
-
-whose last term is -2 pi (E_pp(a, T) - E_pp(D + a, T)) with E_pp the
-antiderivative of F_pp from the plate kernel (``free_energy_integral_pp``),
-and, because a << R, to the familiar simplified form F = 2 pi R F_pp(a, T).
-Central bubbles and pits replace the cap inside the footprint radius by the
-imperfection sphere, giving the two-term closed forms
-
-    bubble:  F = 2 pi (R - R1) F_pp(a + D1, T) + 2 pi R1 F_pp(a, T)
-    pit:     F = 2 pi (R - R1) F_pp(a, T)      + 2 pi R1 F_pp(a + D1, T).
-
-``force`` is the entry point over a ``LensProfile``: it evaluates the closed
-form for the profile's kind, or the method asked for.  ``ratio_curve``
-evaluates F_pp once per distinct gap of each grid point (a and a + D1) and
-shares the closed-form expressions with ``force``, so its ratios are the
-same floats as the ratios of ``force`` results.
-
-The simplified, bubble and pit forms drop terms of relative order
-(a, d, D1)/R, i.e. around 1e-5 for micrometer separations and centimeter
-lenses; ``full`` is exact within the PFA, and the general quadrature keeps
-every term and is the cross-check.
+where z_e is the gap at the lens edge.  ``full`` is exact within the PFA
+for every kind.  The simplified and bubble forms drop terms of order
+(a, D1)/R, about 1e-5 for micrometer gaps and centimeter lenses; the pit
+form is the tabulated one (see ``force_pit``).  ``quadrature``, which
+integrates the height profile numerically, is the cross-check.
 """
 
 from __future__ import annotations
@@ -39,11 +33,13 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .exceptions import QuadratureError, check_finite
-from .lens import LensKind, LensProfile, derive_geometry, height_function, lateral_extent
-from .plates import free_energy_integral_pp, free_energy_pp, pressure_pp
+from .lens import (LensKind, LensProfile, _cap_height, derive_geometry, height_function,
+                   lateral_extent)
+from .plates import _free_energy_and_integral, pressure_pp
 from .quadrature import integrate
 
-#: Default relative tolerance for the PFA quadrature.
+#: Default relative tolerance for the PFA quadrature, and the accuracy bound
+#: every term-list sum must meet.
 DEFAULT_QUAD_TOL = 1.0e-9
 
 #: Relative accuracy of each plate-kernel value (tested against mpmath).
@@ -51,6 +47,12 @@ _KERNEL_ACCURACY = 2.0e-15
 
 #: a/R above which the simplified closed form carries an applicability note.
 _SIMPLIFIED_RATIO_LIMIT = 1.0e-2
+
+_TWO_PI = 2.0 * math.pi
+
+#: Which kernel value a term takes: its index in the (F_pp, E_pp) pair of its gap.
+_F, _E = 0, 1
+
 
 
 class ForceMethod(Enum):
@@ -119,27 +121,63 @@ class RatioCurve:
             raise ValueError("force ratios must be strictly positive")
 
 
-def _validate_point(a: float, T: float, R: float) -> None:
+def _validate_point(a: float, T: float, R: float, R1: float = 0.0, D1: float = 0.0) -> None:
     check_finite("separation a", a)
     check_finite("temperature", T, strict=False)
     check_finite("curvature radius R", R)
+    check_finite("imperfection radius R1", R1, strict=False)
+    check_finite("imperfection depth D1", D1, strict=False)
 
 
-def _simplified_value(R: float, F: float) -> float:
-    """2 pi R F, the simplified perfect-lens form at F = F_pp(a)."""
-    return 2.0 * math.pi * R * F
+def _terms(kind: LensKind, exact: bool, R: float, R1: float = 0.0, D1: float = 0.0,
+           D: float = 0.0, s: float = 0.0) -> tuple:
+    """The term list ((c_i, _F or _E, z_i - a), ...) of ``full`` on ``kind``
+    if ``exact`` (s: the lens sagitta over a bubble or pit), else of the
+    kind's closed form; F terms come before E terms, in sum order."""
+    if kind is LensKind.PERFECT:
+        if not exact:
+            return ((R, _F, 0.0),)
+        return ((R, _F, 0.0), (D - R, _F, D), (-1.0, _E, 0.0), (1.0, _E, D))
+    if not exact:
+        rim, cap = (0.0, D1) if kind is LensKind.PIT else (D1, 0.0)
+        return ((R - R1, _F, rim), (R1, _F, cap))
+    if kind is LensKind.PIT:
+        edge = D - s
+        return ((R + R1 - D1 - s, _F, 0.0), (-R1, _F, D1), (D - R, _F, edge),
+                (-1.0, _E, D1), (1.0, _E, edge))
+    edge = D1 - s + D
+    return ((R1, _F, 0.0), (R - R1 + D1 - s, _F, D1), (D - R, _F, edge),
+            (-1.0, _E, 0.0), (1.0, _E, edge))
 
 
-def _two_term_value(a: float, T: float, R: float, R1: float, D1: float,
-                    pit: bool) -> tuple[float, float]:
-    """The signed 2 pi ((R - R1) F_rim + R1 F_cap), and F_pp(a).
-
-    A bubble's cap sits at gap a and its rim at a + D1; a pit swaps them.
-    """
-    near = free_energy_pp(a, T).value
-    far = free_energy_pp(a + D1, T).value
-    rim, cap = (near, far) if pit else (far, near)
-    return 2.0 * math.pi * ((R - R1) * rim + R1 * cap), near
+def _sum(terms: tuple, T: float, a: float, thin: tuple[str, float],
+         kernel: dict | None = None) -> float:
+    """The signed force 2 pi sum c_i K(a + offset_i) of a term list, with one
+    kernel call per distinct gap, shared through ``kernel`` (gap -> (F_pp,
+    E_pp)) by lists at the same a.  Each K is within 2e-15 of exact, so the
+    sum is within 2e-15 sum |t_i|; a sum that is not negative, or whose bound
+    exceeds DEFAULT_QUAD_TOL of it, is a ValueError naming ``thin``."""
+    if kernel is None:
+        kernel = {}
+    integral = terms[-1][1]  # _E when the list has E terms, which come last
+    total = bound = 0.0
+    for c, k, offset in terms:
+        z = a + offset
+        values = kernel.get(z)
+        if values is None:
+            values = kernel[z] = _free_energy_and_integral(z, T, integral)
+        term = c * values[k]
+        total += term
+        bound += abs(term)
+    # One term keeps the rounding the simplified form always had, (2 pi R) F_pp(a).
+    signed = _TWO_PI * total if len(terms) > 1 else _TWO_PI * c * values[k]
+    if not (-math.inf < signed and total < 0.0
+            and _KERNEL_ACCURACY * bound <= DEFAULT_QUAD_TOL * -total):
+        check_finite("force magnitude", abs(signed), strict=False)
+        name, value = thin
+        raise ValueError(f"{name}={value!r} is too thin against a={a!r}: the PFA terms "
+                         f"cancel to worse than {DEFAULT_QUAD_TOL:g} relative accuracy")
+    return signed
 
 
 def force_perfect_simplified(a: float, T: float, R: float) -> ForceResult:
@@ -153,60 +191,25 @@ def force_perfect_simplified(a: float, T: float, R: float) -> ForceResult:
         raise ValueError(f"a={a!r} is not small against R={R!r}")
     warning = None
     if a >= _SIMPLIFIED_RATIO_LIMIT * R:
-        warning = (
-            f"a/R = {a / R:.3e} exceeds {_SIMPLIFIED_RATIO_LIMIT}; the "
-            "simplified PFA form degrades at this separation"
-        )
-    signed = _simplified_value(R, free_energy_pp(a, T).value)
-    return ForceResult(abs(signed), signed < 0.0, ForceMethod.PERFECT_SIMPLIFIED,
-                       a, T, warning)
+        warning = (f"a/R = {a / R:.3e} exceeds {_SIMPLIFIED_RATIO_LIMIT}; the "
+                   "simplified PFA form degrades at this separation")
+    signed = _sum(_terms(LensKind.PERFECT, False, R), T, a, ("curvature radius R", R))
+    return ForceResult(-signed, True, ForceMethod.PERFECT_SIMPLIFIED, a, T, warning)
 
 
 def force_perfect_full(a: float, T: float, R: float, D: float | None = None) -> ForceResult:
-    """Exact PFA result for a perfect spherical lens of thickness D.
-
-        F = 2 pi [R F_pp(a) - (R - D) F_pp(D + a) - E_pp(a) + E_pp(D + a)]
-
-    where E_pp(z) = integral_z^inf F_pp dz' = -(pi^2 hbar c / (1440 z^2)) g(tau)
-    (``free_energy_integral_pp``), so the separation integral of F_pp
-    from a to D + a is E_pp(a) - E_pp(D + a) and no quadrature runs.  D
-    defaults to R (hemisphere), where the middle term vanishes.
-
-    For D << a the four terms t_i in the bracket nearly cancel.  Each
-    kernel value is within 2e-15 of exact (relative), so the bracket is
-    within 2e-15 sum |t_i| / |bracket| of exact; the result is served only
-    when the bracket is negative and that bound is at most
-    DEFAULT_QUAD_TOL (1e-9), and otherwise D is too thin and the call is a
-    ValueError.  At a = 1 um, 300 K and R = 15 cm, D = 1e-11 m is served
-    (bound 1.4e-10) and D = 1e-12 m is refused (bound 1.4e-9).
+    """Exact PFA force on a perfect lens of thickness D (default R, a
+    hemisphere), by parts: 2 pi [R F_pp(a) - (R - D) F_pp(a + D) - E_pp(a)
+    + E_pp(a + D)], with no quadrature.  For D << a the terms cancel, and a
+    D too thin for the 1e-9 bound is refused: at a = 1 um, 300 K and
+    R = 15 cm, D = 1e-11 m is served and D = 1e-12 m is not.
     """
     _validate_point(a, T, R)
-    if D is None:
-        D = R
+    D = R if D is None else D
     if not 0.0 < D <= 2.0 * R:
         raise ValueError(f"lens thickness D={D!r} must satisfy 0 < D <= 2R")
-    near = R * free_energy_pp(a, T).value
-    far = (R - D) * free_energy_pp(D + a, T).value
-    e_near, e_far = free_energy_integral_pp(a, T), free_energy_integral_pp(D + a, T)
-    bracket = near - far - e_near + e_far
-    rounding = _KERNEL_ACCURACY * (abs(near) + abs(far) + abs(e_near) + abs(e_far))
-    if not (bracket < 0.0 and rounding <= DEFAULT_QUAD_TOL * -bracket):
-        raise ValueError(f"lens thickness D={D!r} is too thin against a={a!r}: "
-                         f"the by-parts terms cancel to worse than {DEFAULT_QUAD_TOL:g} "
-                         "relative accuracy")
-    return ForceResult(-2.0 * math.pi * bracket, True, ForceMethod.PERFECT_FULL, a, T)
-
-
-def _two_term(
-    a: float, T: float, R: float, R1: float, D1: float, *, pit: bool
-) -> ForceResult:
-    """The bubble and pit closed forms, checked and as a ``ForceResult``."""
-    _validate_point(a, T, R)
-    check_finite("imperfection radius R1", R1, strict=False)
-    check_finite("imperfection depth D1", D1, strict=False)
-    signed, _ = _two_term_value(a, T, R, R1, D1, pit)
-    method = ForceMethod.PIT if pit else ForceMethod.BUBBLE
-    return ForceResult(abs(signed), signed < 0.0, method, a, T)
+    signed = _sum(_terms(LensKind.PERFECT, True, R, D=D), T, a, ("lens thickness D", D))
+    return ForceResult(-signed, True, ForceMethod.PERFECT_FULL, a, T)
 
 
 def force_bubble(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult:
@@ -217,7 +220,9 @@ def force_bubble(a: float, T: float, R: float, R1: float, D1: float) -> ForceRes
     Degenerate limits: R1 = R or D1 = 0 reproduce the simplified perfect
     form (the bubble sphere takes over the whole cap, or has no depth).
     """
-    return _two_term(a, T, R, R1, D1, pit=False)
+    _validate_point(a, T, R, R1, D1)
+    signed = _sum(_terms(LensKind.BUBBLE, False, R, R1, D1), T, a, ("imperfection depth D1", D1))
+    return ForceResult(-signed, True, ForceMethod.BUBBLE, a, T)
 
 
 def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult:
@@ -225,24 +230,20 @@ def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult
 
         F = 2 pi (R - R1) F_pp(a, T) + 2 pi R1 F_pp(a + D1, T)
 
-    This is the tabulated closed form behind the pit benchmark curve
-    (``ratio_line3``): it assigns the pit cap's 2 pi R1 weight to the
-    deepest gap a + D1 and the remaining 2 pi (R - R1) to the rim gap a.
-    Note that it is *not* the surface integral of the pit height profile.
-    Integrating ``profile_height`` exactly (see ``force_general``) gives
-
-        2 pi (R + R1) F_pp(a, T) - 2 pi R1 F_pp(a + D1, T)
-
-    to leading order in (a, D1)/R, because the area measure rho d(rho)
-    concentrates near the rim circle where the gap equals a.  The two
-    expressions differ at order R1/R for pits, while the bubble and
-    perfect closed forms do agree with their profiles.
+    This is the tabulated form behind the pit benchmark curve
+    (``ratio_line3``): it weights the pit cap by its deepest gap a + D1.
+    It is *not* the surface integral of the pit profile, which is
+    ``force(LensProfile.pit(R, R1, D1), a, T, "full")``, to leading order
+    2 pi (R + R1) F_pp(a) - 2 pi R1 F_pp(a + D1): the area measure rho drho
+    concentrates near the rim circle, where the gap is a.
 
     R1 = 0 (no pit) reproduces the simplified perfect form exactly.
     """
     if R1 >= R:
         raise ValueError("a pit requires R1 < R")
-    return _two_term(a, T, R, R1, D1, pit=True)
+    _validate_point(a, T, R, R1, D1)
+    signed = _sum(_terms(LensKind.PIT, False, R, R1, D1), T, a, ("imperfection depth D1", D1))
+    return ForceResult(-signed, True, ForceMethod.PIT, a, T)
 
 
 def force_general(
@@ -261,14 +262,8 @@ def force_general(
     slope kink there) and a log-space outer panel so the decades between
     the footprint scale and the lens edge stay cheap.
 
-    Agreement with the closed forms: perfect profiles match the exact
-    ``force_perfect_full`` to 1e-10 relative (at quad_tol = 1e-12), and
-    bubble profiles match ``force_bubble`` to well inside 1e-3.  Pit
-    profiles are different by design: this routine integrates the actual
-    pit height profile, which is dominated by the rim circle at gap a,
-    whereas ``force_pit`` is the tabulated closed form that weights the
-    pit cap by its deepest gap a + D1.  The two results differ at order R1/R for pits (see the
-    ``force_pit`` docstring for the leading-order forms).
+    At quad_tol = 1e-12 it matches ``force(profile, a, T, "full")``, the
+    exact PFA by parts, within 1e-10 relative on every profile kind.
 
     ``pressure_fn`` (z -> N/m^2) overrides the parallel-plate pressure
     kernel; it exists for testing.
@@ -308,28 +303,6 @@ def force_general(
     return ForceResult(abs(signed), signed < 0.0, ForceMethod.GENERAL_QUADRATURE, a, T)
 
 
-#: Each method's profile kind (None: every kind) and its call on (profile,
-#: a, T, quadrature keywords); the calls look the force_* names up when
-#: they run.
-_METHODS = {
-    ForceMethod.GENERAL_QUADRATURE: (None, lambda p, a, T, q: (
-        force_general(p, a, T, **q))),
-    ForceMethod.PERFECT_FULL: (LensKind.PERFECT, lambda p, a, T, q: (
-        force_perfect_full(a, T, p.R, p.D))),
-    ForceMethod.PERFECT_SIMPLIFIED: (LensKind.PERFECT, lambda p, a, T, q: (
-        force_perfect_simplified(a, T, p.R))),
-    ForceMethod.BUBBLE: (LensKind.BUBBLE, lambda p, a, T, q: (
-        force_bubble(a, T, p.R, p.R1, p.D1))),
-    ForceMethod.PIT: (LensKind.PIT, lambda p, a, T, q: (
-        force_pit(a, T, p.R, p.R1, p.D1))),
-}
-
-#: The call of each profile kind's closed form, the default of ``force``.
-_CLOSED_FORMS = {LensKind.PERFECT: _METHODS[ForceMethod.PERFECT_SIMPLIFIED][1],
-                 LensKind.BUBBLE: _METHODS[ForceMethod.BUBBLE][1],
-                 LensKind.PIT: _METHODS[ForceMethod.PIT][1]}
-
-
 def force(
     profile: LensProfile,
     a: float,
@@ -340,45 +313,58 @@ def force(
 ) -> ForceResult:
     """Plate-lens force on ``profile`` at separation a and temperature T.
 
-    ``method`` (a ForceMethod or its label) defaults to the closed form for
-    the profile's kind.  Quadrature serves every kind; ``full`` and
-    ``simplified`` serve perfect lenses, ``bubble`` and ``pit`` their own
-    kind, and any other pairing is a ValueError.  ``tol`` reaches only
-    ``quadrature``; None keeps its default tolerance.
+    ``method`` (a ForceMethod or its label) defaults to the closed form of
+    the profile's kind.  ``quadrature`` and ``full`` serve every kind,
+    ``simplified`` perfect lenses, and ``bubble`` and ``pit`` their own
+    kind; any other pairing is a ValueError.  ``full`` on a bubble or pit
+    serves D <= R, as the height profile does, and a footprint inside the
+    lens.  ``tol`` reaches only ``quadrature``; None keeps its default.
     """
-    if method is None:
-        return _CLOSED_FORMS[profile.kind](profile, a, T, {})
-    method = ForceMethod(method)
-    kind, formula = _METHODS[method]
-    if kind is not None and kind is not profile.kind:
-        raise ValueError(f"method {method.value!r} applies to {kind.value} profiles, "
-                         f"not {profile.kind.value}")
-    return formula(profile, a, T, {} if tol is None else {"quad_tol": tol})
+    kind, R, D, R1, D1 = profile.kind, profile.R, profile.D, profile.R1, profile.D1
+    perfect = kind is LensKind.PERFECT
+    closed = ForceMethod.PERFECT_SIMPLIFIED if perfect else ForceMethod(kind.value)
+    method = closed if method is None else ForceMethod(method)
+    if method is ForceMethod.GENERAL_QUADRATURE:
+        return force_general(profile, a, T, **({} if tol is None else {"quad_tol": tol}))
+    if method is ForceMethod.PERFECT_FULL and perfect:
+        return force_perfect_full(a, T, R, D)
+    if method is ForceMethod.PERFECT_FULL:
+        if D > R:
+            raise ValueError(f"lens thickness D={D!r} exceeds R={R!r}: full serves D <= R here")
+        r, extent = derive_geometry(profile).r, lateral_extent(profile)
+        if not r <= extent:
+            raise ValueError(f"footprint r={r!r} does not fit inside the lens extent {extent!r}")
+        terms = _terms(kind, True, R, R1, D1, D, _cap_height(R, r))
+        return ForceResult(-_sum(terms, T, a, ("lens thickness D", D)), True, method, a, T)
+    if method is not closed:
+        raise ValueError(f"method {method.value!r} does not serve {kind.value} profiles")
+    if perfect:
+        return force_perfect_simplified(a, T, R)
+    return (force_pit if kind is LensKind.PIT else force_bubble)(a, T, R, R1, D1)
 
 
 def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) -> RatioCurve:
     """Force ratio imperfect lens / perfect lens over a separation grid.
 
-    Both are ``force``'s default closed forms; the reference denominator is
-    the simplified perfect form with the same curvature radius R.  Each
-    point evaluates F_pp once per distinct gap, at a and a + D1, and shares
-    the closed-form expressions with ``force``, so every ratio equals
-    ``force(profile, a, T).value / force(perfect, a, T).value`` bit for bit.
+    Both are ``force``'s default closed forms, the perfect lens the
+    simplified form with the same R.  Their term lists are built once; each
+    point costs one kernel call per distinct gap (a and a + D1), and every
+    ratio equals ``force(profile, a, T).value / force(perfect, a, T).value``
+    bit for bit.
     """
     if profile.kind is LensKind.PERFECT:
         raise ValueError("ratio curves are defined for imperfect profiles only")
-    check_finite("temperature", T, strict=False)
-    R, R1, D1 = profile.R, profile.R1, profile.D1
-    pit = profile.kind is LensKind.PIT
+    R, D1 = profile.R, profile.D1
+    imperfect_terms = _terms(profile.kind, False, R, profile.R1, D1)
+    perfect_terms = _terms(LensKind.PERFECT, False, R)
+    depth, radius = ("imperfection depth D1", D1), ("curvature radius R", R)
     grid = tuple(float(s) for s in separations)
     ratios = []
     for a in grid:
         check_finite("separation a", a)
         if a >= R:
             raise ValueError(f"a={a!r} is not small against R={R!r}")
-        imperfect, near = _two_term_value(a, T, R, R1, D1, pit)
-        perfect = _simplified_value(R, near)
-        check_finite("force magnitude", abs(imperfect), strict=False)
-        check_finite("force magnitude", abs(perfect), strict=False)
-        ratios.append(imperfect / perfect)
+        kernel: dict = {}
+        imperfect = _sum(imperfect_terms, T, a, depth, kernel)
+        ratios.append(imperfect / _sum(perfect_terms, T, a, radius, kernel))
     return RatioCurve(separations=grid, ratios=tuple(ratios), profile=profile)

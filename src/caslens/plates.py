@@ -240,6 +240,13 @@ def free_energy_integral_pp(z: float, T: float) -> float:
     return _in_float_range("the integral of F_pp", z, 2, 1440.0, g)
 
 
+def _free_energy_and_integral(z: float, T: float, integral: bool) -> tuple[float, float]:
+    """F_pp(z, T) and, if ``integral`` (else NaN), E_pp(z, T) from one kernel call."""
+    f, _, g, _, _ = _plate_kernel(tau(z, T))
+    return (_in_float_range("F_pp", z, 3, 720.0, f),
+            _in_float_range("the integral of F_pp", z, 2, 1440.0, g) if integral else math.nan)
+
+
 def _momentum_integrand(y: float) -> float:
     # y * ln(1 - e^(-y)), continued by its limit 0 at y = 0.
     if y <= 0.0:

@@ -413,3 +413,28 @@ def test_zero_length_grid_yields_header_only(tmp_path):
     assert main(["force", "--R", "15cm", "--a-start", "2um", "--a-stop", "1um",
                  "--a-step", "0.5um", "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == "a_m,F_N,method\n"
+
+
+def test_grid_step_below_the_float_spacing_is_usage_error(capsys):
+    code = main(["fpp", "--a-start", "1m", "--a-stop", "1.0000000000000002m",
+                 "--a-step", "1e-20"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: grid step 1e-20 is below the float spacing")
+
+
+@pytest.mark.parametrize("count", ["inf", "nan", "1e400"])
+def test_k_table_with_a_non_finite_component_count_is_usage_error(tmp_path, capsys, count):
+    budget = tmp_path / "budget.cfg"
+    budget.write_text("random_error = 0.05\nsystematic_components = 0.19\n"
+                      "variance_of_mean = 0.02\n", encoding="utf-8")
+    table = tmp_path / "k.txt"
+    table.write_text(f"{count} 1.1\n", encoding="utf-8")
+    code = main(["combine-errors", "--budget", str(budget), "--k-table", str(table)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "component count must be a positive integer" in line

@@ -102,3 +102,16 @@ def test_build_grid_refuses_too_many_points(start, stop, step):
 
 def test_build_grid_serves_the_largest_grid():
     assert len(build_grid(1.0, 100_000.0, 1.0)) == 100_000
+
+
+@pytest.mark.parametrize("start, stop, step", [
+    (1.0, 1.0000000000000002, 1.0e-20),   # 22 205 points, 2 of them distinct
+    (1.0, 1.0 + 1.0e-12, 1.5e-16),        # each step rounds to 0 or 1 spacing
+])
+def test_build_grid_refuses_a_step_below_the_float_spacing(start, stop, step):
+    with pytest.raises(ValueError, match=f"grid step {step!r} is below the float spacing"):
+        build_grid(start, stop, step)
+
+
+def test_build_grid_keeps_the_fig2_grid():
+    assert build_grid(1.0e-6, 3.0e-6, 0.05e-6) == [1.0e-6 + i * 0.05e-6 for i in range(41)]

@@ -233,3 +233,11 @@ def test_load_table_errors(tmp_path):
     notnum.write_text("a b\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_q_table(notnum, 0.95)
+
+
+@pytest.mark.parametrize("count", ["inf", "nan", "1e400"])
+def test_load_k_table_refuses_a_non_finite_component_count(tmp_path, count):
+    path = tmp_path / "k.txt"
+    path.write_text(f"{count} 1.1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="component count must be a positive integer"):
+        load_k_table(path, 0.95)

@@ -257,11 +257,12 @@ def test_ratio_curve_equals_the_ratio_of_forces(pit, R, D1, footprint, separatio
 def test_ratio_curve_evaluates_each_distinct_gap_once(monkeypatch, profile):
     calls = []
 
-    def counted(z, T):
+    def counted(z, T, integral):
         calls.append(z)
-        return free_energy_pp(z, T)
+        return kernel(z, T, integral)
 
-    monkeypatch.setattr(pfa, "free_energy_pp", counted)
+    kernel = pfa._free_energy_and_integral
+    monkeypatch.setattr(pfa, "_free_energy_and_integral", counted)
     grid = (1.0e-6, 1.5e-6, 2.0e-6, 2.5e-6, 3.0e-6)
     ratio_curve(profile, grid, T_BENCH)
     assert len(calls) == 2 * len(grid)
@@ -333,12 +334,92 @@ def test_force_defaults_to_the_closed_form_of_the_profile_kind(kind, R, a, T, ra
 
 
 @pytest.mark.parametrize("profile, method", [
-    (BUBBLE_WIDE, "pit"),
-    (BUBBLE_WIDE, "full"),
-    (PIT_CASE, "bubble"),
-    (PIT_CASE, "simplified"),
-    (LensProfile.perfect(R_BENCH), "bubble"),
+    # Explicit ids, so that each row keeps its name as rows come and go.
+    pytest.param(BUBBLE_WIDE, "pit", id="profile0-pit"),
+    pytest.param(PIT_CASE, "bubble", id="profile2-bubble"),
+    pytest.param(PIT_CASE, "simplified", id="profile3-simplified"),
+    pytest.param(LensProfile.perfect(R_BENCH), "bubble", id="profile4-bubble"),
 ])
 def test_force_method_must_serve_the_profile_kind(profile, method):
     with pytest.raises(ValueError, match=method):
         force(profile, 1.0e-6, T_BENCH, method)
+
+
+@pytest.mark.parametrize("profile", [BUBBLE_WIDE, BUBBLE_NARROW, PIT_CASE])
+def test_full_serves_bubbles_and_pits_by_parts(profile):
+    result = force(profile, 1.0e-6, T_BENCH, "full")
+    assert result.method is ForceMethod.PERFECT_FULL and result.attractive
+    quadrature = force_general(profile, 1.0e-6, T_BENCH, quad_tol=1.0e-12).value
+    assert abs(result.value / quadrature - 1.0) <= 1.0e-10
+
+
+@pytest.mark.parametrize("profile, calls", [
+    (LensProfile.perfect(R_BENCH), 2),
+    (BUBBLE_WIDE, 3),
+    (PIT_CASE, 3),
+])
+def test_full_takes_one_kernel_call_per_distinct_gap(monkeypatch, profile, calls):
+    kernel, gaps = pfa._free_energy_and_integral, []
+
+    def counted(z, T, integral):
+        gaps.append(z)
+        return kernel(z, T, integral)
+
+    monkeypatch.setattr(pfa, "_free_energy_and_integral", counted)
+    force(profile, 1.0e-6, T_BENCH, "full")
+    assert len(gaps) == len(set(gaps)) == calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(LensKind),
+    R=st.floats(min_value=0.01, max_value=1.0),
+    a=st.floats(min_value=0.1e-6, max_value=10.0e-6),
+    T=st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=1000.0)),
+    D1=st.floats(min_value=0.1e-6, max_value=2.0e-6),
+    footprint=st.floats(min_value=FOOTPRINT_DIAMETER_MIN, max_value=FOOTPRINT_DIAMETER_MAX),
+)
+def test_full_matches_quadrature_on_every_kind(kind, R, a, T, D1, footprint):
+    r = 0.5 * footprint
+    R1 = (r * r + D1 * D1) / (2.0 * D1)
+    assume(kind is not LensKind.PIT or R1 < R)
+    if kind is LensKind.PERFECT:
+        profile = LensProfile.perfect(R)
+    else:
+        profile = LensProfile(kind, R, R, R1, D1)
+    full = force(profile, a, T, "full").value
+    quadrature = force_general(profile, a, T, quad_tol=1.0e-12).value
+    assert abs(full / quadrature - 1.0) <= 1.0e-10
+
+
+@pytest.mark.parametrize("profile", [
+    LensProfile.bubble(R_BENCH, 0.25, 0.5e-6, D=0.2),
+    LensProfile.pit(R_BENCH, 0.12, 1.0e-6, D=0.2),
+])
+def test_full_refuses_a_bubble_or_pit_on_a_lens_thicker_than_r(profile):
+    with pytest.raises(ValueError, match=r"D=0.2 exceeds R=0.15"):
+        force(profile, 1.0e-6, T_BENCH, "full")
+
+
+@pytest.mark.parametrize("profile", [
+    LensProfile.bubble(R_BENCH, 1.0, 1.0e-5, D=1.0e-5),   # r = 4.5 mm, extent 1.7 mm
+    LensProfile.bubble(1.0e-3, 10.0, 0.9e-6),             # r = 4.2 mm beyond R = 1 mm
+    LensProfile.pit(1.0e-3, 0.9e-3, 0.9e-6, D=1.0e-9),    # r = 40 um, extent 1.4 um
+])
+def test_full_refuses_a_footprint_wider_than_the_lens(profile):
+    with pytest.raises(ValueError, match=r"footprint r=.* does not fit inside the lens extent"):
+        force(profile, 1.0e-6, T_BENCH, "full")
+
+
+def test_fig2_pit_against_the_exact_profile_integral():
+    # The tabulated pit curve is far from the pit profile's own integral,
+    # which exceeds the perfect lens's force by a third or more.
+    perfect = LensProfile.perfect(R_BENCH)
+    separations = (0.5e-6, 1.0e-6, 2.0e-6, 3.0e-6)
+    exact = [force(PIT_CASE, a, T_BENCH, "full").value for a in separations]
+    tabulated = [force_pit(a, T_BENCH, R_BENCH, 0.12, 1.0e-6).value for a in separations]
+    over_perfect = [pit / force(perfect, a, T_BENCH, "full").value
+                    for a, pit in zip(separations, exact)]
+    assert_allclose(np.divide(tabulated, exact), (0.131, 0.187, 0.330, 0.457), atol=1.0e-3)
+    assert_allclose(over_perfect, (1.768, 1.686, 1.504, 1.373), atol=1.0e-3)
+    assert list(np.round(over_perfect, 2)) == [1.77, 1.69, 1.50, 1.37]
