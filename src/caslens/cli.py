@@ -25,7 +25,7 @@ import tempfile
 from typing import Iterable, Sequence
 
 from . import config as cfg
-from .exceptions import NumericalError, check_finite
+from .exceptions import TEMPERATURE, TOLERANCE, NumericalError, check_finite
 from .lens import LensKind, LensProfile, derive_geometry, validate_spec
 from .metrology import ErrorBudget, load_k_table, load_q_table, total_error
 from .pfa import ForceMethod, force, ratio_curve
@@ -119,7 +119,7 @@ def _temperature(args: argparse.Namespace, file_config: dict[str, str]) -> float
     raw = _setting(args, file_config, "T")
     if raw is None:
         return DEFAULT_TEMPERATURE
-    return check_finite("temperature", cfg.parse_temperature(raw), strict=False)
+    return check_finite("temperature", cfg.parse_temperature(raw), TEMPERATURE)
 
 
 def _profile(args: argparse.Namespace, file_config: dict[str, str]) -> LensProfile:
@@ -170,7 +170,7 @@ def _cmd_force(args: argparse.Namespace) -> int:
     profile = _profile(args, file_config)
     method = _setting(args, file_config, "method")
     raw_tol = _setting(args, file_config, "tol")
-    tol = check_finite("--tol", float(raw_tol)) if raw_tol is not None else None
+    tol = check_finite("--tol", float(raw_tol), TOLERANCE) if raw_tol is not None else None
     warnings_seen: list[str] = []
     rows = []
     for a in grid:

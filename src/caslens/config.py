@@ -11,6 +11,8 @@ import math
 import re
 from pathlib import Path
 
+from .exceptions import LENGTH, check_finite
+
 #: Unit factors of each quantity; an empty suffix is the SI unit.
 _UNITS = {
     "length": {"": 1.0, "nm": 1.0e-9, "um": 1.0e-6, "mm": 1.0e-3, "cm": 1.0e-2, "m": 1.0},
@@ -77,14 +79,12 @@ def build_grid(start: float, stop: float, step: float) -> list[float]:
     0.05 um land exactly 41 points on [1 um, 3 um].  A grid of more than
     100 000 points, or whose points repeat, is a ValueError.
     """
-    if not start > 0.0:
-        raise ValueError(f"grid start must be positive, got {start!r}")
+    for name, length in (("start", start), ("stop", stop), ("step", step)):
+        check_finite(f"grid {name}", length, LENGTH)
     if stop < start:
         return []
-    if not step > 0.0:
-        raise ValueError(f"grid step must be positive, got {step!r}")
     span = (stop - start) / step + 1.0e-9
-    if not span < _MAX_GRID_POINTS:  # +inf too, when the division overflows
+    if not span < _MAX_GRID_POINTS:
         raise ValueError(f"grid from {start!r} to {stop!r} in steps of {step!r} "
                          f"exceeds {_MAX_GRID_POINTS} points")
     grid = [start + i * step for i in range(int(span) + 1)]

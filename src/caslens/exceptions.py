@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one domain check.
+"""Exception types shared across the package, its served domain and the one check on it.
 
 Domain errors (bad arguments, inconsistent configuration) raise plain
 ValueError subclasses and map to the CLI usage exit code.  Numerical
@@ -35,13 +35,22 @@ class DegenerateImperfectionError(ValueError):
     """Imperfection parameters describe an empty or impossible defect."""
 
 
-def check_finite(name: str, x: float, *, strict: bool = True) -> float:
-    """x, if finite and positive (non-negative when not strict); else ValueError.
+#: The served domain, as (low, high, 0 also served, the range as printed):
+#: inside it no product the package forms leaves the float range.
+LENGTH = (1.0e-12, 1.0e5, False, "[1e-12, 1e5] m")
+LENGTH_OR_ZERO = (1.0e-12, 1.0e5, True, "0 or [1e-12, 1e5] m")
+TEMPERATURE = (0.0, 1.0e9, False, "[0, 1e9] K")
+TOLERANCE = (math.ulp(0.0), math.nextafter(math.inf, 0.0), False, "(0, inf)")
+
+
+def check_finite(name: str, x: float, domain: tuple) -> float:
+    """x, if it lies in ``domain`` (LENGTH, LENGTH_OR_ZERO, TEMPERATURE or
+    TOLERANCE); else a ValueError naming ``name``, x and the range.
 
     The package's one domain check on a length, temperature or tolerance;
     NaN fails its chained comparison, so NaN and +-inf are refused too.
     """
-    if 0.0 < x < math.inf or (not strict and x == 0.0):
+    low, high, zero, text = domain
+    if low <= x <= high or (zero and x == 0.0):
         return x
-    sign = "positive" if strict else "non-negative"
-    raise ValueError(f"{name} must be {sign} and finite, got {x!r}")
+    raise ValueError(f"{name}={x!r} lies outside the served range {text}")

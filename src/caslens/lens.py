@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .exceptions import DegenerateImperfectionError, check_finite
+from .exceptions import (LENGTH, LENGTH_OR_ZERO, TOLERANCE, DegenerateImperfectionError,
+                         check_finite)
 
 #: Optical-surface quality bounds on the imperfection footprint diameter 2r.
 FOOTPRINT_DIAMETER_MIN = 30.0e-6
@@ -58,8 +59,8 @@ class LensProfile:
     D1: float | None = None
 
     def __post_init__(self) -> None:
-        check_finite("curvature radius R", self.R)
-        check_finite("lens thickness D", self.D)
+        check_finite("curvature radius R", self.R, LENGTH)
+        check_finite("lens thickness D", self.D, LENGTH)
         if self.D > 2.0 * self.R:
             raise ValueError(f"lens thickness D={self.D!r} exceeds the sphere 2R")
         if self.kind is LensKind.PERFECT:
@@ -68,8 +69,8 @@ class LensProfile:
             return
         if self.R1 is None or self.D1 is None:
             raise ValueError(f"{self.kind.value} profiles require R1 and D1")
-        check_finite("imperfection radius R1", self.R1)
-        check_finite("imperfection depth D1", self.D1)
+        check_finite("imperfection radius R1", self.R1, LENGTH)
+        check_finite("imperfection depth D1", self.D1, LENGTH)
         if self.D1 >= _MAX_DEPTH_FRACTION * self.R:
             raise ValueError(
                 f"imperfection depth D1={self.D1!r} is not small against R={self.R!r}"
@@ -154,7 +155,7 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
     the seam circle rho = r; the lens-region offset uses the exact sagitta
     R - sqrt(R^2 - r^2) so the two branches agree there to round-off.
     """
-    check_finite("closest approach a", a)
+    check_finite("closest approach a", a, LENGTH)
     if profile.D > profile.R:
         raise ValueError("height profiles are single-valued only for D <= R")
     R = profile.R
@@ -184,7 +185,7 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
 def profile_height(profile: LensProfile, rho: float, a: float) -> float:
     """Separation z between the plate and the lens surface above radius rho."""
     height = height_function(profile, a)
-    check_finite("radial coordinate rho", rho, strict=False)
+    check_finite("radial coordinate rho", rho, LENGTH_OR_ZERO)
     extent = lateral_extent(profile)
     if rho > extent:
         raise ValueError(f"rho={rho!r} lies outside the lens extent {extent!r}")
@@ -216,7 +217,7 @@ def validate_spec(
     """Check an imperfection against the surface-quality window and against
     the curvature-radius measurement tolerance; perfect profiles pass
     vacuously."""
-    check_finite("curvature_tolerance", curvature_tolerance)
+    check_finite("curvature_tolerance", curvature_tolerance, TOLERANCE)
     if profile.kind is LensKind.PERFECT:
         detail = "no imperfection present"
         return SpecReport(checks=(

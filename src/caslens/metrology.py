@@ -158,6 +158,10 @@ class CombinedError:
     systematic_error: float
 
     def __post_init__(self) -> None:
+        for name, value in (("r", self.r), ("delta_t", self.total),
+                            ("delta_t_relative", self.relative or 0.0)):
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} = {value!r}: the error budget leaves the float range")
         cap = self.random_error + self.systematic_error
         if self.total > cap:
             raise ValueError(

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .exceptions import QuadratureError, check_finite
+from .exceptions import LENGTH, LENGTH_OR_ZERO, TEMPERATURE, QuadratureError, check_finite
 from .lens import (LensKind, LensProfile, _cap_height, derive_geometry, height_function,
                    lateral_extent)
-from .plates import _free_energy_and_integral, pressure_pp
+from .plates import _free_energy_and_integral, _pressure, _tau
 from .quadrature import integrate
 
 #: Default relative tolerance for the PFA quadrature, and the accuracy bound
@@ -75,7 +75,8 @@ class ForceResult:
 
     def __init__(self, magnitude: float, attractive: bool, method: ForceMethod,
                  a: float, T: float, warning: str | None = None) -> None:
-        check_finite("force magnitude", magnitude, strict=False)
+        if not 0.0 <= magnitude < math.inf:
+            raise ValueError(f"force magnitude {magnitude!r} is negative or not finite")
         self.magnitude = magnitude
         self.attractive = attractive
         self.method = method
@@ -122,11 +123,11 @@ class RatioCurve:
 
 
 def _validate_point(a: float, T: float, R: float, R1: float = 0.0, D1: float = 0.0) -> None:
-    check_finite("separation a", a)
-    check_finite("temperature", T, strict=False)
-    check_finite("curvature radius R", R)
-    check_finite("imperfection radius R1", R1, strict=False)
-    check_finite("imperfection depth D1", D1, strict=False)
+    check_finite("separation a", a, LENGTH)
+    check_finite("temperature", T, TEMPERATURE)
+    check_finite("curvature radius R", R, LENGTH)
+    check_finite("imperfection radius R1", R1, LENGTH_OR_ZERO)
+    check_finite("imperfection depth D1", D1, LENGTH_OR_ZERO)
 
 
 def _terms(kind: LensKind, exact: bool, R: float, R1: float = 0.0, D1: float = 0.0,
@@ -154,9 +155,10 @@ def _sum(terms: tuple, T: float, a: float, thin: tuple[str, float],
          kernel: dict | None = None) -> float:
     """The signed force 2 pi sum c_i K(a + offset_i) of a term list, with one
     kernel call per distinct gap, shared through ``kernel`` (gap -> (F_pp,
-    E_pp)) by lists at the same a.  Each K is within 2e-15 of exact, so the
-    sum is within 2e-15 sum |t_i|; a sum that is not negative, or whose bound
-    exceeds DEFAULT_QUAD_TOL of it, is a ValueError naming ``thin``."""
+    E_pp)) by lists at the same a, and no domain check: a gap may exceed 1e5 m.
+    Each K is within 2e-15 of exact, so the sum is within 2e-15 sum |t_i|; a
+    sum that is not negative, or whose bound exceeds DEFAULT_QUAD_TOL of it,
+    is a ValueError naming ``thin``."""
     if kernel is None:
         kernel = {}
     integral = terms[-1][1]  # _E when the list has E terms, which come last
@@ -165,15 +167,13 @@ def _sum(terms: tuple, T: float, a: float, thin: tuple[str, float],
         z = a + offset
         values = kernel.get(z)
         if values is None:
-            values = kernel[z] = _free_energy_and_integral(z, T, integral)
+            values = kernel[z] = _free_energy_and_integral(z, _tau(z, T), integral)
         term = c * values[k]
         total += term
         bound += abs(term)
     # One term keeps the rounding the simplified form always had, (2 pi R) F_pp(a).
     signed = _TWO_PI * total if len(terms) > 1 else _TWO_PI * c * values[k]
-    if not (-math.inf < signed and total < 0.0
-            and _KERNEL_ACCURACY * bound <= DEFAULT_QUAD_TOL * -total):
-        check_finite("force magnitude", abs(signed), strict=False)
+    if not (total < 0.0 and _KERNEL_ACCURACY * bound <= DEFAULT_QUAD_TOL * -total):
         name, value = thin
         raise ValueError(f"{name}={value!r} is too thin against a={a!r}: the PFA terms "
                          f"cancel to worse than {DEFAULT_QUAD_TOL:g} relative accuracy")
@@ -205,9 +205,9 @@ def force_perfect_full(a: float, T: float, R: float, D: float | None = None) -> 
     R = 15 cm, D = 1e-11 m is served and D = 1e-12 m is not.
     """
     _validate_point(a, T, R)
-    D = R if D is None else D
-    if not 0.0 < D <= 2.0 * R:
-        raise ValueError(f"lens thickness D={D!r} must satisfy 0 < D <= 2R")
+    D = R if D is None else check_finite("lens thickness D", D, LENGTH)
+    if D > 2.0 * R:
+        raise ValueError(f"lens thickness D={D!r} exceeds the sphere 2R")
     signed = _sum(_terms(LensKind.PERFECT, True, R, D=D), T, a, ("lens thickness D", D))
     return ForceResult(-signed, True, ForceMethod.PERFECT_FULL, a, T)
 
@@ -272,12 +272,9 @@ def force_general(
     height = height_function(profile, a)  # rejects D > R: z(rho) is single-valued
     if pressure_fn is None:
         def pressure_fn(z: float, _T: float = T) -> float:
-            return pressure_pp(z, _T)
+            return _pressure(z, _tau(z, _T))  # z <= a + D1 + D: no domain check
 
-    extent = lateral_extent(profile)
-    if not extent > 0.0:
-        raise ValueError(f"lens thickness D={profile.D!r} gives the lens no lateral "
-                         "extent: D (2R - D) rounds to 0")
+    extent = lateral_extent(profile)  # >= sqrt(D R) >= 1e-12 m, as D <= R
     if profile.kind is LensKind.PERFECT:
         split = min(math.sqrt(profile.R * a), 0.5 * extent)
     else:
@@ -329,6 +326,7 @@ def force(
     if method is ForceMethod.PERFECT_FULL and perfect:
         return force_perfect_full(a, T, R, D)
     if method is ForceMethod.PERFECT_FULL:
+        _validate_point(a, T, R)
         if D > R:
             raise ValueError(f"lens thickness D={D!r} exceeds R={R!r}: full serves D <= R here")
         r, extent = derive_geometry(profile).r, lateral_extent(profile)
@@ -359,9 +357,10 @@ def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) ->
     perfect_terms = _terms(LensKind.PERFECT, False, R)
     depth, radius = ("imperfection depth D1", D1), ("curvature radius R", R)
     grid = tuple(float(s) for s in separations)
+    check_finite("temperature", T, TEMPERATURE)
     ratios = []
     for a in grid:
-        check_finite("separation a", a)
+        check_finite("separation a", a, LENGTH)
         if a >= R:
             raise ValueError(f"a={a!r} is not small against R={R!r}")
         kernel: dict = {}

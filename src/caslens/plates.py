@@ -54,8 +54,7 @@ from __future__ import annotations
 import math
 
 from .constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
-from .exceptions import ConvergenceError, QuadratureError
-from .exceptions import check_finite
+from .exceptions import LENGTH, TEMPERATURE, ConvergenceError, QuadratureError, check_finite
 from .quadrature import integrate
 
 #: Riemann zeta(3) (Apery's constant), to full double precision.
@@ -90,11 +89,17 @@ _ANALYTIC_TAIL_MIN = 34.0
 def tau(z: float, T: float) -> float:
     """Dimensionless thermal parameter  tau = 4 pi z k_B T / (hbar c).
 
-    Every kernel entry point goes through here, so this is where a NaN or
-    infinite z or T is refused, before any series starts.
+    Every public kernel entry goes through here, so this is where a z or T
+    outside the served domain is refused, before any series starts; inside
+    it every F_pp, P_pp and E_pp is finite and negative.
     """
-    check_finite("separation", z)
-    check_finite("temperature", T, strict=False)
+    check_finite("separation z", z, LENGTH)
+    check_finite("temperature", T, TEMPERATURE)
+    return _tau(z, T)
+
+
+def _tau(z: float, T: float) -> float:
+    # Unchecked: for pfa's gaps a + offset, whose a and offsets are checked.
     return 4.0 * math.pi * z * BOLTZMANN * T / (REDUCED_PLANCK * LIGHT_SPEED)
 
 
@@ -193,19 +198,6 @@ def _plate_kernel(t: float) -> tuple[float, float, float, float, int]:
     return f, p, g, _PI_SQ / 180.0 * sigma * f, terms
 
 
-def _in_float_range(quantity: str, z: float, power: int, divisor: float,
-                    factor: float) -> float:
-    """-(pi^2 hbar c / (divisor z^power)) * factor; a ValueError naming
-    ``quantity`` when a power of z or the value leaves the float range."""
-    try:
-        value = _MINUS_PI_SQ_HBAR_C / (divisor * z**power) * factor
-    except ArithmeticError:  # a power of z overflowed, or underflowed to 0
-        value = 0.0
-    if not -math.inf < value < 0.0:
-        raise ValueError(f"separation {z!r} m puts {quantity} outside the float range")
-    return value
-
-
 def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
     """Free energy per unit area of two parallel ideal-metal plates.
 
@@ -214,8 +206,7 @@ def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
     Valid for every T >= 0; at T = 0, f = 1 exactly and the bracket is +inf.
     """
     f, _, _, bracket, terms = _plate_kernel(tau(z, T))
-    value = _in_float_range("F_pp", z, 3, 720.0, f)
-    return FreeEnergyAreal(value=value, bracket=bracket, terms_used=terms)
+    return FreeEnergyAreal(_MINUS_PI_SQ_HBAR_C / (720.0 * z**3) * f, bracket, terms)
 
 
 def pressure_pp(z: float, T: float) -> float:
@@ -225,8 +216,13 @@ def pressure_pp(z: float, T: float) -> float:
 
     Negative for all valid inputs (the plates attract).
     """
-    _, p, _, _, _ = _plate_kernel(tau(z, T))
-    return _in_float_range("P_pp", z, 4, 240.0, p)
+    return _pressure(z, tau(z, T))
+
+
+def _pressure(z: float, t: float) -> float:
+    """P_pp at separation z and thermal parameter t, with no domain check."""
+    _, p, _, _, _ = _plate_kernel(t)
+    return _MINUS_PI_SQ_HBAR_C / (240.0 * z**4) * p
 
 
 def free_energy_integral_pp(z: float, T: float) -> float:
@@ -236,15 +232,15 @@ def free_energy_integral_pp(z: float, T: float) -> float:
 
     Negative for all valid inputs; at T = 0, g = 1 exactly.
     """
-    _, _, g, _, _ = _plate_kernel(tau(z, T))
-    return _in_float_range("the integral of F_pp", z, 2, 1440.0, g)
+    return _free_energy_and_integral(z, tau(z, T), True)[1]
 
 
-def _free_energy_and_integral(z: float, T: float, integral: bool) -> tuple[float, float]:
-    """F_pp(z, T) and, if ``integral`` (else NaN), E_pp(z, T) from one kernel call."""
-    f, _, g, _, _ = _plate_kernel(tau(z, T))
-    return (_in_float_range("F_pp", z, 3, 720.0, f),
-            _in_float_range("the integral of F_pp", z, 2, 1440.0, g) if integral else math.nan)
+def _free_energy_and_integral(z: float, t: float, integral: bool) -> tuple[float, float]:
+    """F_pp and, if ``integral`` (else NaN), E_pp at separation z and thermal
+    parameter t from one kernel call, with no domain check."""
+    f, _, g, _, _ = _plate_kernel(t)
+    return (_MINUS_PI_SQ_HBAR_C / (720.0 * z**3) * f,
+            _MINUS_PI_SQ_HBAR_C / (1440.0 * z**2) * g if integral else math.nan)
 
 
 def _momentum_integrand(y: float) -> float:
@@ -260,7 +256,7 @@ def _momentum_integrand(y: float) -> float:
 
 
 def _momentum_integral(m: float) -> float:
-    """Integral of y*ln(1 - e^(-y)) over y in [m, inf); non-positive.
+    """Integral of y*ln(1 - e^(-y)) over y in [m, inf), m = tau l >= 0; non-positive.
 
     Evaluated by the adaptive Gauss-Kronrod rule of ``caslens.quadrature``.
     For m >= _ANALYTIC_TAIL_MIN the two-term analytic tail
@@ -268,8 +264,6 @@ def _momentum_integral(m: float) -> float:
     used directly.  A panel that misses the tolerance raises
     ConvergenceError.
     """
-    if m < 0.0:
-        raise ValueError(f"lower integration limit must be non-negative, got {m!r}")
     if m >= _ANALYTIC_TAIL_MIN:
         return -(1.0 + m) * math.exp(-m) - (2.0 * m + 1.0) * math.exp(-2.0 * m) / 8.0
     total = 0.0
@@ -324,14 +318,6 @@ def free_energy_pp_oracle(z: float, T: float, *, l_max: int = 100_000) -> FreeEn
             f"thermal sum not converged after l_max={l_max} indices at "
             f"tau={t:.3e}; raise l_max"
         )
-    # k_B T / (4 pi z^2) times the sum; a separation that drives the
-    # prefactor or the value to 0 or out of the float range is refused as
-    # F_pp is in ``free_energy_pp``.
-    try:
-        prefactor = BOLTZMANN * T / (4.0 * math.pi * z * z)
-    except ZeroDivisionError:  # z * z underflowed to 0
-        prefactor = math.inf
-    value = prefactor * total
-    if not (0.0 < prefactor < math.inf and -math.inf < value < 0.0):
-        raise ValueError(f"separation {z!r} m puts F_pp outside the float range")
+    # k_B T / (4 pi z^2) times the sum, finite wherever tau does not round away.
+    value = BOLTZMANN * T / (4.0 * math.pi * z * z) * total
     return FreeEnergyAreal(value=value, bracket=-total, terms_used=terms)

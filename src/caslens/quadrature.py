@@ -22,7 +22,7 @@ import sys
 from operator import mul
 from typing import Callable
 
-from .exceptions import QuadratureError, check_finite
+from .exceptions import TOLERANCE, QuadratureError, check_finite
 
 #: Tightest relative tolerance the rule is asked for; the per-panel error
 #: floor of 50 machine epsilons makes anything tighter unreachable.
@@ -110,7 +110,7 @@ def integrate(
     absolute error estimate, evaluations of f).  Raises QuadratureError
     when LIMIT subintervals do not reach the tolerance.
     """
-    rel_tol = max(check_finite("rel_tol", rel_tol), MIN_REL_TOL)
+    rel_tol = max(check_finite("rel_tol", rel_tol, TOLERANCE), MIN_REL_TOL)
     g, lo, hi = f, a, b
     if b == math.inf:
         def g(t: float) -> float:

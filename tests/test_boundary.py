@@ -48,6 +48,8 @@ ENTRIES = {
     "force-quadrature": (force, {"profile": PIT, **POINT, "method": "quadrature",
                                  "tol": 1.0e-9}, {**AT_POINT, "tol": POSITIVE}),
     "force-full": (force, {"profile": PERFECT, **POINT, "method": "full"}, AT_POINT),
+    "force-full-bubble": (force, {"profile": BUBBLE, **POINT, "method": "full"}, AT_POINT),
+    "force-full-pit": (force, {"profile": PIT, **POINT, "method": "full"}, AT_POINT),
     "force-simplified": (force, {"profile": PERFECT, **POINT, "method": "simplified"},
                          AT_POINT),
     "force-bubble": (force, {"profile": BUBBLE, **POINT, "method": "bubble"}, AT_POINT),
@@ -85,7 +87,7 @@ def test_valid_call_succeeds(label):
 ])
 def test_out_of_domain_argument_is_a_value_error(label, name, bad):
     entry, valid, _domains = ENTRIES[label]
-    start = time.perf_counter()
+    start = time.process_time()
     with pytest.raises(ValueError):
         entry(**{**valid, name: bad})
-    assert time.perf_counter() - start < 0.05
+    assert time.process_time() - start < 0.05

@@ -245,12 +245,13 @@ def test_bad_tolerance_is_usage_error(capsys, method, tol):
     (["fpp", "--a-list", "1e200", "--T", "300"], "1e+200"),
 ])
 def test_separation_outside_the_float_range_is_usage_error(capsys, argv, separation):
+    # Refused by the domain check, before F_pp or P_pp can leave the float range.
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: separation {separation} m puts {'P' if argv[0] == 'pressure' else 'F'}"
-        "_pp outside the float range"]
+        f"error: separation {'a' if argv[0] == 'force' else 'z'}={separation} lies outside "
+        "the served range [1e-12, 1e5] m"]
 
 
 @pytest.mark.parametrize("method, thickness", [
@@ -282,6 +283,23 @@ def test_combine_errors_rejects_non_finite_value(tmp_path, capsys, value):
     captured = capsys.readouterr()
     assert "finite" in captured.err
     assert "delta_t_relative" not in captured.out
+
+
+def test_combine_errors_refuses_a_budget_that_leaves_the_float_range(tmp_path, capsys):
+    # delta_s = 3e308 overflows to inf, and so would r, delta_t and the relative.
+    budget = tmp_path / "budget.cfg"
+    budget.write_text(
+        "random_error = 0.05\n"
+        "systematic_components = 1e308, 1e308, 1e308\n"
+        "variance_of_mean = 1e-300\n",
+        encoding="utf-8",
+    )
+    code = main(["combine-errors", "--budget", str(budget), "--value", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: r = inf: the error budget leaves the float range"]
 
 
 _WITHOUT_SCIPY = """
@@ -347,19 +365,24 @@ def test_usage_error_prints_one_error_line(capsys, argv):
     assert line.startswith("error: ")
 
 
-@pytest.mark.parametrize("stop, step", [
-    ("3um", "1e-20"),       # 2e14 points: refused before any point is built
-    ("1m", "5e-324"),       # the point count overflows to inf
+@pytest.mark.parametrize("stop, step, refusal", [
+    # 2e14 points, and a point count that would overflow to inf: both steps
+    # lie outside the domain, which is checked first
+    pytest.param("3um", "1e-20", "error: grid step=1e-20 lies outside the served range "
+                 "[1e-12, 1e5] m", id="3um-1e-20"),
+    pytest.param("1m", "5e-324", "error: grid step=5e-324 lies outside the served range "
+                 "[1e-12, 1e5] m", id="1m-5e-324"),
+    # 1e12 points inside the domain: refused before any point is built
+    ("1m", "1e-12", "error: grid from 1e-06 to 1.0 in steps of 1e-12 exceeds 100000 points"),
 ])
-def test_oversized_grid_is_usage_error(capsys, stop, step):
-    start = time.perf_counter()
+def test_oversized_grid_is_usage_error(capsys, stop, step, refusal):
+    start = time.process_time()
     code = main(["fpp", "--a-start", "1um", "--a-stop", stop, "--a-step", step])
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("error: grid from") and "exceeds 100000 points" in line
+    assert captured.err.splitlines() == [refusal]
     assert elapsed < 0.05
 
 
@@ -416,13 +439,14 @@ def test_zero_length_grid_yields_header_only(tmp_path):
 
 
 def test_grid_step_below_the_float_spacing_is_usage_error(capsys):
+    # A step of 1e-20 m lies outside the domain, which is checked first.
     code = main(["fpp", "--a-start", "1m", "--a-stop", "1.0000000000000002m",
                  "--a-step", "1e-20"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("error: grid step 1e-20 is below the float spacing")
+    assert captured.err.splitlines() == [
+        "error: grid step=1e-20 lies outside the served range [1e-12, 1e5] m"]
 
 
 @pytest.mark.parametrize("count", ["inf", "nan", "1e400"])

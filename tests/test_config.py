@@ -88,28 +88,43 @@ def test_build_grid_corner_cases():
         build_grid(1.0e-6, 2.0e-6, 0.0)
 
 
-@pytest.mark.parametrize("start, stop, step", [
-    (1.0, 100_001.0, 1.0),          # 100 001 points
-    (1.0e-6, 3.0e-6, 1.0e-20),      # 2e14 points
-    (1.0e-6, 1.0, 5.0e-324),        # the count overflows to inf
+OUTSIDE = "lies outside the served range \\[1e-12, 1e5\\] m"
+
+
+@pytest.mark.parametrize("start, stop, step, refusal", [
+    # 100 001 points, but the stop already lies outside the domain
+    pytest.param(1.0, 100_001.0, 1.0, f"grid stop=100001.0 {OUTSIDE}", id="1.0-100001.0-1.0"),
+    # 2e14 points, but the step already lies outside the domain
+    pytest.param(1.0e-6, 3.0e-6, 1.0e-20, f"grid step=1e-20 {OUTSIDE}", id="1e-06-3e-06-1e-20"),
+    # the count would overflow to inf; the step lies outside the domain
+    pytest.param(1.0e-6, 1.0, 5.0e-324, f"grid step=5e-324 {OUTSIDE}", id="1e-06-1.0-5e-324"),
+    # inside the domain: 100 001 points, and the most the domain allows, 1e17
+    (1.0, 100_000.0, 0.99999, "exceeds 100000 points"),
+    (1.0e-12, 1.0e5, 1.0e-12, "exceeds 100000 points"),
 ])
-def test_build_grid_refuses_too_many_points(start, stop, step):
-    began = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds 100000 points"):
+def test_build_grid_refuses_too_many_points(start, stop, step, refusal):
+    began = time.process_time()
+    with pytest.raises(ValueError, match=refusal):
         build_grid(start, stop, step)
-    assert time.perf_counter() - began < 0.05
+    assert time.process_time() - began < 0.05
 
 
 def test_build_grid_serves_the_largest_grid():
     assert len(build_grid(1.0, 100_000.0, 1.0)) == 100_000
 
 
-@pytest.mark.parametrize("start, stop, step", [
-    (1.0, 1.0000000000000002, 1.0e-20),   # 22 205 points, 2 of them distinct
-    (1.0, 1.0 + 1.0e-12, 1.5e-16),        # each step rounds to 0 or 1 spacing
+@pytest.mark.parametrize("start, stop, step, refusal", [
+    # 22 205 points, 2 of them distinct; the step lies outside the domain
+    pytest.param(1.0, 1.0000000000000002, 1.0e-20, f"grid step=1e-20 {OUTSIDE}",
+                 id="1.0-1.0000000000000002-1e-20"),
+    # each step rounds to 0 or 1 spacing; the step lies outside the domain
+    pytest.param(1.0, 1.0 + 1.0e-12, 1.5e-16, f"grid step=1.5e-16 {OUTSIDE}",
+                 id="1.0-1.000000000001-1.5e-16"),
+    # inside the domain: the float spacing just below 1e5 m is 1.5e-11 m
+    (1.0e5 - 5.0e-8, 1.0e5, 1.0e-12, "grid step 1e-12 is below the float spacing"),
 ])
-def test_build_grid_refuses_a_step_below_the_float_spacing(start, stop, step):
-    with pytest.raises(ValueError, match=f"grid step {step!r} is below the float spacing"):
+def test_build_grid_refuses_a_step_below_the_float_spacing(start, stop, step, refusal):
+    with pytest.raises(ValueError, match=refusal):
         build_grid(start, stop, step)
 
 

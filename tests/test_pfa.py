@@ -75,16 +75,26 @@ def test_full_form_thickness_validation():
 
 
 def test_full_form_refuses_a_thickness_whose_terms_cancel():
-    # D + a rounds to a, so R F_pp(a) - (R - D) F_pp(a + D) is exactly 0.
-    with pytest.raises(ValueError, match=r"D=1e-300 .*cancel"):
+    # D + a would round to a, making R F_pp(a) - (R - D) F_pp(a + D) exactly
+    # 0; D = 1e-300 m lies outside the domain, which is checked first.
+    with pytest.raises(ValueError, match=r"lens thickness D=1e-300 lies outside the served "
+                                         r"range \[1e-12, 1e5\] m"):
         force_perfect_full(1.0e-6, T_BENCH, R_BENCH, 1.0e-300)
+    # Inside the domain a + D still rounds to a at a = 1e5 m and D = 1e-12 m.
+    with pytest.raises(ValueError, match=r"D=1e-12 is too thin .*cancel"):
+        force_perfect_full(1.0e5, T_BENCH, 1.0e5, 1.0e-12)
 
 
-@pytest.mark.parametrize("D", [1.0e-12, 1.0e-16, 1.0e-20])
-def test_full_form_refuses_a_thickness_beyond_its_accuracy_bound(D):
+@pytest.mark.parametrize("D, refusal", [
+    pytest.param(1.0e-12, "is too thin .*1e-09", id="1e-12"),
+    pytest.param(1.0e-16, r"lies outside the served range \[1e-12, 1e5\] m", id="1e-16"),
+    pytest.param(1.0e-20, r"lies outside the served range \[1e-12, 1e5\] m", id="1e-20"),
+])
+def test_full_form_refuses_a_thickness_beyond_its_accuracy_bound(D, refusal):
     # 2e-15 sum |t_i| / |bracket| exceeds 1e-9 (6.8e5 x 2e-15 at 1e-12 m);
-    # at 1e-16 and 1e-20 m the value would be 2.8e-7 and 1.4e-2 off.
-    with pytest.raises(ValueError, match=f"D={D!r} is too thin .*1e-09"):
+    # at 1e-16 and 1e-20 m, which the domain check refuses first, the value
+    # would be 2.8e-7 and 1.4e-2 off.
+    with pytest.raises(ValueError, match=f"D={D!r} {refusal}"):
         force_perfect_full(1.0e-6, T_BENCH, R_BENCH, D)
 
 
@@ -153,10 +163,12 @@ def test_quadrature_with_injected_constant_kernel():
 
 
 def test_quadrature_refuses_a_lens_without_lateral_extent():
-    profile = LensProfile.perfect(R_BENCH, 5.0e-324)
-    assert lateral_extent(profile) == 0.0
-    with pytest.raises(ValueError, match=r"D=5e-324 .*no lateral extent"):
-        force_general(profile, 1.0e-6, T_BENCH)
+    # D (2R - D) rounds to 0 at D = 5e-324 m, which lies outside the domain;
+    # on it, D <= R keeps the extent at least sqrt(D R) >= 1e-12 m.
+    with pytest.raises(ValueError, match=r"lens thickness D=5e-324 lies outside the served "
+                                         r"range \[1e-12, 1e5\] m"):
+        force_general(LensProfile.perfect(R_BENCH, 5.0e-324), 1.0e-6, T_BENCH)
+    assert lateral_extent(LensProfile.perfect(1.0e-12, 1.0e-12)) == 1.0e-12
 
 
 def test_quadrature_requires_single_valued_surface():
