@@ -26,7 +26,8 @@ from typing import Iterable, Sequence
 
 from . import config as cfg
 from .exceptions import TEMPERATURE, TOLERANCE, NumericalError, check_finite
-from .lens import LensKind, LensProfile, derive_geometry, validate_spec
+from .lens import (DEFAULT_CURVATURE_TOLERANCE, LensKind, LensProfile, derive_geometry,
+                   validate_spec)
 from .metrology import ErrorBudget, load_k_table, load_q_table, total_error
 from .pfa import ForceMethod, force, ratio_curve
 from .plates import free_energy_pp, pressure_pp
@@ -77,104 +78,84 @@ def _write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
         raise
 
 
-def _setting(args: argparse.Namespace, file_config: dict[str, str],
-             name: str, default: str | None = None) -> str | None:
-    """A flag's value, else the config file's under ``name`` or with '_'
-    for '-' (``a-list`` or ``a_list``), else ``default``."""
-    underscored = name.replace("-", "_")
-    value = getattr(args, underscored, None)
-    if value is not None:
-        return value
-    return file_config.get(name, file_config.get(underscored, default))
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill each flag left unset from the ``--config`` file, if one is
+    given: its hyphenated key (``a-list``) wins over its underscored one
+    (``a_list``).  Keys that name no unset flag are ignored."""
+    if getattr(args, "config", None) is None:
+        return
+    settings = cfg.parse_kv_file(args.config)
+    flags = vars(args)
+    for name, value in flags.items():
+        if value is None:
+            flags[name] = settings.get(name.replace("_", "-"), settings.get(name))
 
 
-def _file_config(args: argparse.Namespace) -> dict[str, str]:
-    path = getattr(args, "config", None)
-    if path is None:
-        return {}
-    return cfg.parse_kv_file(path)
-
-
-def _grid(args: argparse.Namespace, file_config: dict[str, str]) -> list[float]:
-    explicit = _setting(args, file_config, "a-list")
-    if explicit:
-        return [cfg.parse_length(item) for item in explicit.split(",") if item.strip()]
-    start = _setting(args, file_config, "a-start")
-    if start is None:
+def _grid(args: argparse.Namespace) -> list[float]:
+    if args.a_list:
+        return [cfg.parse_length(item) for item in args.a_list.split(",") if item.strip()]
+    if args.a_start is None:
         raise UsageError("a separation grid requires --a-start or --a-list")
-    stop = _setting(args, file_config, "a-stop")
-    step = _setting(args, file_config, "a-step")
-    start_m = cfg.parse_length(start)
-    stop_m = cfg.parse_length(stop) if stop is not None else start_m
-    if step is None:
+    start_m = cfg.parse_length(args.a_start)
+    stop_m = cfg.parse_length(args.a_stop) if args.a_stop is not None else start_m
+    if args.a_step is None:
         if stop_m > start_m:
             raise UsageError("--a-step is required when --a-stop exceeds --a-start")
         step_m = 1.0
     else:
-        step_m = cfg.parse_length(step)
+        step_m = cfg.parse_length(args.a_step)
     return cfg.build_grid(start_m, stop_m, step_m)
 
 
-def _temperature(args: argparse.Namespace, file_config: dict[str, str]) -> float:
-    raw = _setting(args, file_config, "T")
-    if raw is None:
+def _temperature(args: argparse.Namespace) -> float:
+    if args.T is None:
         return DEFAULT_TEMPERATURE
-    return check_finite("temperature", cfg.parse_temperature(raw), TEMPERATURE)
+    return check_finite("temperature", cfg.parse_temperature(args.T), TEMPERATURE)
 
 
-def _profile(args: argparse.Namespace, file_config: dict[str, str]) -> LensProfile:
-    kind_name = _setting(args, file_config, "profile", "perfect")
+def _profile(args: argparse.Namespace) -> LensProfile:
+    kind_name = "perfect" if args.profile is None else args.profile
     try:
         kind = LensKind(kind_name)
     except ValueError:
         raise UsageError(f"unknown profile kind {kind_name!r}") from None
-    raw_R = _setting(args, file_config, "R")
-    if raw_R is None:
+    if args.R is None:
         raise UsageError("--R is required")
-    R = cfg.parse_length(raw_R)
-    raw_D = _setting(args, file_config, "D")
-    D = cfg.parse_length(raw_D) if raw_D is not None else R
+    R = cfg.parse_length(args.R)
+    D = cfg.parse_length(args.D) if args.D is not None else R
     R1 = D1 = None
     if kind is not LensKind.PERFECT:
-        raw_R1 = _setting(args, file_config, "R1")
-        raw_D1 = _setting(args, file_config, "D1")
-        if raw_R1 is None or raw_D1 is None:
+        if args.R1 is None or args.D1 is None:
             raise UsageError(f"a {kind.value} profile requires --R1 and --D1")
-        R1 = cfg.parse_length(raw_R1)
-        D1 = cfg.parse_length(raw_D1)
+        R1 = cfg.parse_length(args.R1)
+        D1 = cfg.parse_length(args.D1)
     return LensProfile(kind, R, D, R1, D1)
 
 
-def _cmd_fpp(args: argparse.Namespace) -> int:
-    file_config = _file_config(args)
-    T = _temperature(args, file_config)
-    grid = _grid(args, file_config)
-    rows = [(_fmt(z), _fmt(free_energy_pp(z, T).value)) for z in grid]
-    _write_csv(args.out, "z_m,fpp_J_per_m2", rows)
-    return 0
+#: The CSV header and the kernel (z, T) -> value of each plate command.
+_PLATE_COLUMNS = {
+    "fpp": ("z_m,fpp_J_per_m2", lambda z, T: free_energy_pp(z, T).value),
+    "pressure": ("z_m,pressure_N_per_m2", pressure_pp),
+}
 
 
-def _cmd_pressure(args: argparse.Namespace) -> int:
-    file_config = _file_config(args)
-    T = _temperature(args, file_config)
-    grid = _grid(args, file_config)
-    rows = [(_fmt(z), _fmt(pressure_pp(z, T))) for z in grid]
-    _write_csv(args.out, "z_m,pressure_N_per_m2", rows)
+def _cmd_plates(args: argparse.Namespace) -> int:
+    header, kernel = _PLATE_COLUMNS[args.command]
+    T = _temperature(args)
+    rows = [(_fmt(z), _fmt(kernel(z, T))) for z in _grid(args)]
+    _write_csv(args.out, header, rows)
     return 0
 
 
 def _cmd_force(args: argparse.Namespace) -> int:
-    file_config = _file_config(args)
-    T = _temperature(args, file_config)
-    grid = _grid(args, file_config)
-    profile = _profile(args, file_config)
-    method = _setting(args, file_config, "method")
-    raw_tol = _setting(args, file_config, "tol")
-    tol = check_finite("--tol", float(raw_tol), TOLERANCE) if raw_tol is not None else None
+    T = _temperature(args)
+    grid = _grid(args)
+    profile = _profile(args)
+    tol = check_finite("--tol", float(args.tol), TOLERANCE) if args.tol is not None else None
     warnings_seen: list[str] = []
     rows = []
     for a in grid:
-        result = force(profile, a, T, method, tol=tol)
+        result = force(profile, a, T, args.method, tol=tol)
         if result.warning and result.warning not in warnings_seen:
             warnings_seen.append(result.warning)
         rows.append((_fmt(a), _fmt(result.magnitude), result.method.value))
@@ -185,10 +166,9 @@ def _cmd_force(args: argparse.Namespace) -> int:
 
 
 def _cmd_ratio(args: argparse.Namespace) -> int:
-    file_config = _file_config(args)
-    T = _temperature(args, file_config)
-    grid = _grid(args, file_config)
-    profile = _profile(args, file_config)
+    T = _temperature(args)
+    grid = _grid(args)
+    profile = _profile(args)
     if profile.kind is LensKind.PERFECT:
         raise UsageError("ratio curves require a bubble or pit profile")
     if grid:
@@ -249,13 +229,9 @@ def _cmd_combine_errors(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_lens(args: argparse.Namespace) -> int:
-    file_config = _file_config(args)
-    profile = _profile(args, file_config)
-    raw_tolerance = _setting(args, file_config, "delta-R")
-    if raw_tolerance is not None:
-        report = validate_spec(profile, cfg.parse_length(raw_tolerance))
-    else:
-        report = validate_spec(profile)
+    profile = _profile(args)
+    report = validate_spec(profile, DEFAULT_CURVATURE_TOLERANCE if args.delta_R is None
+                           else cfg.parse_length(args.delta_R))
     if profile.kind is not LensKind.PERFECT:
         geometry = derive_geometry(profile)
         print(f"footprint radius r = {geometry.r:.6e} m")
@@ -298,15 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  "plate and a centimeter-size spherical lens")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fpp", help="parallel-plate free energy per unit area")
-    _add_grid(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_fpp)
-
-    p = sub.add_parser("pressure", help="parallel-plate pressure")
-    _add_grid(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_pressure)
+    for name, help_text in (("fpp", "parallel-plate free energy per unit area"),
+                            ("pressure", "parallel-plate pressure")):
+        p = sub.add_parser(name, help=help_text)
+        _add_grid(p)
+        _add_out(p)
+        p.set_defaults(func=_cmd_plates)
 
     p = sub.add_parser("force", help="plate-lens force over a separation grid")
     _add_grid(p)
@@ -353,6 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _merge_config(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

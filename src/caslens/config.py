@@ -8,8 +8,9 @@ command-line boundary only.  Lengths accept the suffixes nm, um, mm, cm, m
 from __future__ import annotations
 
 import math
+import os
 import re
-from pathlib import Path
+from typing import Iterator
 
 from .exceptions import LENGTH, check_finite
 
@@ -53,21 +54,28 @@ def parse_temperature(text: str) -> float:
     return _parse("temperature", text)
 
 
-def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Read a flat ``key = value`` text file; # starts a comment."""
-    settings: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+def _lines(path: str | os.PathLike[str]) -> Iterator[tuple[str, str, str]]:
+    """Yield ``path:lineno``, the stripped text before any # and the raw
+    line, for each line of a UTF-8 text file that is not blank or a comment."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield f"{path}:{lineno}", line, raw
+
+
+def parse_kv_file(path: str | os.PathLike[str]) -> dict[str, str]:
+    """Read a flat ``key = value`` text file; # starts a comment."""
+    settings: dict[str, str] = {}
+    for where, line, raw in _lines(path):
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key or not value:
-            raise ValueError(f"{path}:{lineno}: empty key or value in {raw!r}")
+            raise ValueError(f"{where}: empty key or value in {raw!r}")
         settings[key] = value
     return settings
 

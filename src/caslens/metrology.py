@@ -30,11 +30,12 @@ measured value the caller supplies explicitly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Mapping, Sequence
 
+from .config import _lines
 from .exceptions import DegenerateBudgetError, TableLookupError
 
 #: Regime thresholds for r = delta_s / s_mean; both edges fall in the blend.
@@ -233,24 +234,20 @@ def total_error(budget: ErrorBudget, measured_value: float | None = None) -> Com
     )
 
 
-def _read_two_column_table(path: str | Path) -> list[tuple[float, float]]:
+def _read_two_column_table(path: str | os.PathLike[str]) -> list[tuple[float, float]]:
     rows = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line, raw in _lines(path):
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected two columns, got {raw!r}")
+            raise ValueError(f"{where}: expected two columns, got {raw!r}")
         try:
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     return rows
 
 
-def load_k_table(path: str | Path, beta: float) -> dict[tuple[int, float], float]:
+def load_k_table(path: str | os.PathLike[str], beta: float) -> dict[tuple[int, float], float]:
     """Read a two-column (J, k) text table for a single confidence level."""
     table = {}
     for j_value, k in _read_two_column_table(path):
@@ -261,6 +258,6 @@ def load_k_table(path: str | Path, beta: float) -> dict[tuple[int, float], float
     return table
 
 
-def load_q_table(path: str | Path, beta: float) -> dict[tuple[float, float], float]:
+def load_q_table(path: str | os.PathLike[str], beta: float) -> dict[tuple[float, float], float]:
     """Read a two-column (r, q) text table for a single confidence level."""
     return {(r, beta): q for r, q in _read_two_column_table(path)}

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .exceptions import LENGTH, LENGTH_OR_ZERO, TEMPERATURE, QuadratureError, check_finite
 from .lens import (LensKind, LensProfile, _cap_height, derive_geometry, height_function,
@@ -252,7 +252,6 @@ def force_general(
     T: float,
     *,
     quad_tol: float = DEFAULT_QUAD_TOL,
-    pressure_fn: Callable[[float], float] | None = None,
 ) -> ForceResult:
     """PFA force by direct quadrature over the actual surface profile.
 
@@ -264,15 +263,12 @@ def force_general(
 
     At quad_tol = 1e-12 it matches ``force(profile, a, T, "full")``, the
     exact PFA by parts, within 1e-10 relative on every profile kind.
-
-    ``pressure_fn`` (z -> N/m^2) overrides the parallel-plate pressure
-    kernel; it exists for testing.
     """
     _validate_point(a, T, profile.R)
     height = height_function(profile, a)  # rejects D > R: z(rho) is single-valued
-    if pressure_fn is None:
-        def pressure_fn(z: float, _T: float = T) -> float:
-            return _pressure(z, _tau(z, _T))  # z <= a + D1 + D: no domain check
+
+    def pressure(z: float) -> float:
+        return _pressure(z, _tau(z, T))  # z <= a + D1 + D: no domain check
 
     extent = lateral_extent(profile)  # >= sqrt(D R) >= 1e-12 m, as D <= R
     if profile.kind is LensKind.PERFECT:
@@ -281,11 +277,11 @@ def force_general(
         split = min(derive_geometry(profile).r, 0.5 * extent)
 
     def inner(rho: float) -> float:
-        return rho * pressure_fn(height(rho))
+        return rho * pressure(height(rho))
 
     def outer(v: float) -> float:
         rho = min(math.exp(v), extent)
-        return rho * rho * pressure_fn(height(rho))
+        return rho * rho * pressure(height(rho))
 
     inner_value, inner_error, _ = integrate(inner, 0.0, split, rel_tol=0.1 * quad_tol)
     outer_value, outer_error, _ = integrate(outer, math.log(split), math.log(extent),
@@ -322,7 +318,7 @@ def force(
     closed = ForceMethod.PERFECT_SIMPLIFIED if perfect else ForceMethod(kind.value)
     method = closed if method is None else ForceMethod(method)
     if method is ForceMethod.GENERAL_QUADRATURE:
-        return force_general(profile, a, T, **({} if tol is None else {"quad_tol": tol}))
+        return force_general(profile, a, T, quad_tol=DEFAULT_QUAD_TOL if tol is None else tol)
     if method is ForceMethod.PERFECT_FULL and perfect:
         return force_perfect_full(a, T, R, D)
     if method is ForceMethod.PERFECT_FULL:

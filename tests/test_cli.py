@@ -431,6 +431,34 @@ def test_config_file_accepts_underscore_keys(tmp_path, capsys):
     assert "overall: FAIL" in out
 
 
+def test_config_file_hyphenated_key_wins_over_underscored(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("a_list = 2um\na-list = 1um\n", encoding="utf-8")
+    assert main(["fpp", "--a-list", "1um"]) == 0
+    direct = capsys.readouterr().out
+    assert main(["fpp", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == direct
+
+
+def test_config_file_ignores_keys_that_name_no_unset_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("a-list = 1um\nout = x.csv\nconfig = y\ncommand = pressure\n"
+                      "delta-R = 1um\n", encoding="utf-8")
+    assert main(["fpp", "--a-list", "1um"]) == 0
+    direct = capsys.readouterr().out
+    assert main(["fpp", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == direct
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_missing_config_file_is_read_before_any_value_is_checked(tmp_path, capsys):
+    code = main(["fpp", "--config", str(tmp_path / "missing.cfg"), "--T", "-5",
+                 "--a-list", "1um"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
 def test_zero_length_grid_yields_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["force", "--R", "15cm", "--a-start", "2um", "--a-stop", "1um",

@@ -24,6 +24,7 @@ from caslens import (
     lateral_extent,
     ratio_curve,
 )
+from caslens.exceptions import QuadratureError
 from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN
 
 R_BENCH = 0.15
@@ -154,12 +155,38 @@ def test_quadrature_integrates_the_pit_profile_faithfully():
         assert abs(quadrature / tabulated - 1.0) > 1.0
 
 
-def test_quadrature_with_injected_constant_kernel():
+def test_quadrature_with_injected_constant_kernel(monkeypatch):
     # With P(z) = -1 the surface integral collapses to the projected area.
+    monkeypatch.setattr("caslens.pfa._pressure", lambda z, t: -1.0)
     profile = LensProfile.perfect(R=R_BENCH)
-    result = force_general(profile, 1.0e-6, T_BENCH, pressure_fn=lambda z: -1.0)
+    result = force_general(profile, 1.0e-6, T_BENCH)
     expected = -math.pi * lateral_extent(profile) ** 2
     assert_allclose(result.value, expected, rtol=1.0e-9)
+
+
+MICRO_PIT = LensProfile.pit(1.0, 1.0e-6, 1.0e-6)
+
+
+@pytest.mark.parametrize("a, magnitude", [(1.0e-12, 2.723e9), (1.0e-10, 2.723e3)])
+def test_full_serves_the_micro_pit_at_the_smallest_gaps(a, magnitude):
+    result = force(MICRO_PIT, a, 300.0, "full")
+    assert math.isfinite(result.magnitude) and result.attractive
+    assert_allclose(result.magnitude, magnitude, rtol=1.0e-3)
+
+
+def test_quadrature_matches_full_on_the_micro_pit_at_one_nanometre():
+    full = force(MICRO_PIT, 1.0e-9, 300.0, "full").magnitude
+    quadrature = force(MICRO_PIT, 1.0e-9, 300.0, "quadrature").magnitude
+    assert_allclose(quadrature, full, rtol=1.0e-10)
+
+
+@pytest.mark.xfail(raises=QuadratureError, strict=True,
+                   reason="FOUND in CHANGES.md: force_general stops at 300 subintervals "
+                          "on [0, 1e-6] for a hemispherical micro-pit at gaps <= 1e-10 m; "
+                          "the domain is not narrowed to hide it, and full serves it")
+@pytest.mark.parametrize("a", [1.0e-12, 1.0e-10])
+def test_quadrature_serves_the_micro_pit_at_the_smallest_gaps(a):
+    force(MICRO_PIT, a, 300.0, "quadrature")
 
 
 def test_quadrature_refuses_a_lens_without_lateral_extent():
