@@ -35,7 +35,7 @@ from typing import Iterable
 from .exceptions import LENGTH, LENGTH_OR_ZERO, TEMPERATURE, QuadratureError, check_finite
 from .lens import (LensKind, LensProfile, _cap_height, derive_geometry, height_function,
                    lateral_extent)
-from .plates import _free_energy_and_integral, _pressure, _tau
+from .plates import _plate_kernel
 from .quadrature import integrate
 
 #: Default relative tolerance for the PFA quadrature, and the accuracy bound
@@ -45,13 +45,13 @@ DEFAULT_QUAD_TOL = 1.0e-9
 #: Relative accuracy of each plate-kernel value (tested against mpmath).
 _KERNEL_ACCURACY = 2.0e-15
 
-#: a/R above which the simplified closed form carries an applicability note.
-_SIMPLIFIED_RATIO_LIMIT = 1.0e-2
+#: a/R above which a closed form carries an applicability note.
+_CLOSED_FORM_RATIO_LIMIT = 1.0e-2
 
 _TWO_PI = 2.0 * math.pi
 
-#: Which kernel value a term takes: its index in the (F_pp, E_pp) pair of its gap.
-_F, _E = 0, 1
+#: Which kernel value a term takes: its index in the ``_plate_kernel`` tuple of its gap.
+_F, _E = 0, 2
 
 
 
@@ -130,11 +130,23 @@ def _validate_point(a: float, T: float, R: float, R1: float = 0.0, D1: float = 0
     check_finite("imperfection depth D1", D1, LENGTH_OR_ZERO)
 
 
+def _applicability(a: float, R: float, form: str) -> str | None:
+    """The closed forms' a/R rule: a >= R is refused, and a/R >= 1e-2 gives
+    a warning naming ``form``, else None."""
+    if a >= R:
+        raise ValueError(f"a={a!r} is not small against R={R!r}")
+    if a < _CLOSED_FORM_RATIO_LIMIT * R:
+        return None
+    return (f"a/R = {a / R:.3e} exceeds {_CLOSED_FORM_RATIO_LIMIT}; the {form} "
+            "PFA form degrades at this separation")
+
+
 def _terms(kind: LensKind, exact: bool, R: float, R1: float = 0.0, D1: float = 0.0,
            D: float = 0.0, s: float = 0.0) -> tuple:
     """The term list ((c_i, _F or _E, z_i - a), ...) of ``full`` on ``kind``
     if ``exact`` (s: the lens sagitta over a bubble or pit), else of the
-    kind's closed form; F terms come before E terms, in sum order."""
+    kind's closed form.  F terms come before E terms; that order is the
+    order of the sum, and so fixes its rounding."""
     if kind is LensKind.PERFECT:
         if not exact:
             return ((R, _F, 0.0),)
@@ -154,20 +166,20 @@ def _terms(kind: LensKind, exact: bool, R: float, R1: float = 0.0, D1: float = 0
 def _sum(terms: tuple, T: float, a: float, thin: tuple[str, float],
          kernel: dict | None = None) -> float:
     """The signed force 2 pi sum c_i K(a + offset_i) of a term list, with one
-    kernel call per distinct gap, shared through ``kernel`` (gap -> (F_pp,
-    E_pp)) by lists at the same a, and no domain check: a gap may exceed 1e5 m.
+    kernel call per distinct gap, shared through ``kernel`` (gap ->
+    ``_plate_kernel`` tuple) by lists at the same a, and no domain check: a
+    gap may exceed 1e5 m.
     Each K is within 2e-15 of exact, so the sum is within 2e-15 sum |t_i|; a
     sum that is not negative, or whose bound exceeds DEFAULT_QUAD_TOL of it,
     is a ValueError naming ``thin``."""
     if kernel is None:
         kernel = {}
-    integral = terms[-1][1]  # _E when the list has E terms, which come last
     total = bound = 0.0
     for c, k, offset in terms:
         z = a + offset
         values = kernel.get(z)
         if values is None:
-            values = kernel[z] = _free_energy_and_integral(z, _tau(z, T), integral)
+            values = kernel[z] = _plate_kernel(z, T)
         term = c * values[k]
         total += term
         bound += abs(term)
@@ -187,12 +199,7 @@ def force_perfect_simplified(a: float, T: float, R: float) -> ForceResult:
     applicability warning (and a >= R is rejected outright).
     """
     _validate_point(a, T, R)
-    if a >= R:
-        raise ValueError(f"a={a!r} is not small against R={R!r}")
-    warning = None
-    if a >= _SIMPLIFIED_RATIO_LIMIT * R:
-        warning = (f"a/R = {a / R:.3e} exceeds {_SIMPLIFIED_RATIO_LIMIT}; the "
-                   "simplified PFA form degrades at this separation")
+    warning = _applicability(a, R, "simplified")
     signed = _sum(_terms(LensKind.PERFECT, False, R), T, a, ("curvature radius R", R))
     return ForceResult(-signed, True, ForceMethod.PERFECT_SIMPLIFIED, a, T, warning)
 
@@ -219,10 +226,12 @@ def force_bubble(a: float, T: float, R: float, R1: float, D1: float) -> ForceRes
 
     Degenerate limits: R1 = R or D1 = 0 reproduce the simplified perfect
     form (the bubble sphere takes over the whole cap, or has no depth).
+    Like that form, it refuses a >= R and warns from a/R = 1e-2 on.
     """
     _validate_point(a, T, R, R1, D1)
+    warning = _applicability(a, R, "bubble")
     signed = _sum(_terms(LensKind.BUBBLE, False, R, R1, D1), T, a, ("imperfection depth D1", D1))
-    return ForceResult(-signed, True, ForceMethod.BUBBLE, a, T)
+    return ForceResult(-signed, True, ForceMethod.BUBBLE, a, T, warning)
 
 
 def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult:
@@ -237,13 +246,15 @@ def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult
     2 pi (R + R1) F_pp(a) - 2 pi R1 F_pp(a + D1): the area measure rho drho
     concentrates near the rim circle, where the gap is a.
 
-    R1 = 0 (no pit) reproduces the simplified perfect form exactly.
+    R1 = 0 (no pit) reproduces the simplified perfect form exactly; like
+    that form, it refuses a >= R and warns from a/R = 1e-2 on.
     """
+    _validate_point(a, T, R, R1, D1)
     if R1 >= R:
         raise ValueError("a pit requires R1 < R")
-    _validate_point(a, T, R, R1, D1)
+    warning = _applicability(a, R, "pit")
     signed = _sum(_terms(LensKind.PIT, False, R, R1, D1), T, a, ("imperfection depth D1", D1))
-    return ForceResult(-signed, True, ForceMethod.PIT, a, T)
+    return ForceResult(-signed, True, ForceMethod.PIT, a, T, warning)
 
 
 def force_general(
@@ -266,22 +277,19 @@ def force_general(
     """
     _validate_point(a, T, profile.R)
     height = height_function(profile, a)  # rejects D > R: z(rho) is single-valued
-
-    def pressure(z: float) -> float:
-        return _pressure(z, _tau(z, T))  # z <= a + D1 + D: no domain check
-
     extent = lateral_extent(profile)  # >= sqrt(D R) >= 1e-12 m, as D <= R
     if profile.kind is LensKind.PERFECT:
         split = min(math.sqrt(profile.R * a), 0.5 * extent)
     else:
         split = min(derive_geometry(profile).r, 0.5 * extent)
 
+    # P_pp at each gap z <= a + D1 + D, which needs no domain check.
     def inner(rho: float) -> float:
-        return rho * pressure(height(rho))
+        return rho * _plate_kernel(height(rho), T)[1]
 
     def outer(v: float) -> float:
         rho = min(math.exp(v), extent)
-        return rho * rho * pressure(height(rho))
+        return rho * rho * _plate_kernel(height(rho), T)[1]
 
     inner_value, inner_error, _ = integrate(inner, 0.0, split, rel_tol=0.1 * quad_tol)
     outer_value, outer_error, _ = integrate(outer, math.log(split), math.log(extent),
@@ -348,7 +356,7 @@ def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) ->
     """
     if profile.kind is LensKind.PERFECT:
         raise ValueError("ratio curves are defined for imperfect profiles only")
-    R, D1 = profile.R, profile.D1
+    R, D1, form = profile.R, profile.D1, profile.kind.value
     imperfect_terms = _terms(profile.kind, False, R, profile.R1, D1)
     perfect_terms = _terms(LensKind.PERFECT, False, R)
     depth, radius = ("imperfection depth D1", D1), ("curvature radius R", R)
@@ -357,8 +365,7 @@ def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) ->
     ratios = []
     for a in grid:
         check_finite("separation a", a, LENGTH)
-        if a >= R:
-            raise ValueError(f"a={a!r} is not small against R={R!r}")
+        _applicability(a, R, form)  # refuses a >= R; a ratio carries no warning
         kernel: dict = {}
         imperfect = _sum(imperfect_terms, T, a, depth, kernel)
         ratios.append(imperfect / _sum(perfect_terms, T, a, radius, kernel))

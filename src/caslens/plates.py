@@ -42,6 +42,10 @@ and f = p = g = 1 exactly: the standard zero-temperature results
     P_pp(z, 0) = - pi^2 hbar c / (240 z^4)
     E_pp(z, 0) = - pi^2 hbar c / (1440 z^2).
 
+One private function, ``_plate_kernel(z, T)``, sums the series and returns
+F_pp, P_pp and E_pp together; the public entries check z and T and read
+one of them, and ``pfa`` calls it directly for every gap it forms.
+
 At tau >> 1 the bracket B approaches zeta(3)/2 (classical limit).  A
 brute-force cross-check sums the thermal (Matsubara) series directly,
 integrating each term numerically over the dimensionless momentum
@@ -87,20 +91,21 @@ _ANALYTIC_TAIL_MIN = 34.0
 
 
 def tau(z: float, T: float) -> float:
-    """Dimensionless thermal parameter  tau = 4 pi z k_B T / (hbar c).
-
-    Every public kernel entry goes through here, so this is where a z or T
-    outside the served domain is refused, before any series starts; inside
-    it every F_pp, P_pp and E_pp is finite and negative.
-    """
-    check_finite("separation z", z, LENGTH)
-    check_finite("temperature", T, TEMPERATURE)
+    """Dimensionless thermal parameter  tau = 4 pi z k_B T / (hbar c)."""
+    _check_domain(z, T)
     return _tau(z, T)
 
 
 def _tau(z: float, T: float) -> float:
-    # Unchecked: for pfa's gaps a + offset, whose a and offsets are checked.
+    # Unchecked: for _plate_kernel, which serves pfa's gaps a + offset.
     return 4.0 * math.pi * z * BOLTZMANN * T / (REDUCED_PLANCK * LIGHT_SPEED)
+
+
+def _check_domain(z: float, T: float) -> None:
+    # Every public entry refuses a z or T outside the served domain here,
+    # before any series starts; inside it F_pp, P_pp and E_pp are finite and < 0.
+    check_finite("separation z", z, LENGTH)
+    check_finite("temperature", T, TEMPERATURE)
 
 
 class FreeEnergyAreal:
@@ -170,32 +175,38 @@ def _moments(a: float) -> tuple[float, float, float, int]:
     return s0, -s1, s2 - s1, n
 
 
-def _plate_kernel(t: float) -> tuple[float, float, float, float, int]:
-    """f(tau), p(tau), g(tau), B(tau) and the terms summed, for every tau >= 0.
+def _plate_kernel(z: float, T: float) -> tuple[float, float, float, float, int]:
+    """F_pp, P_pp and E_pp in SI, the bracket B and the terms summed, for
+    every z > 0 and T >= 0, with no domain check: ``pfa``'s gaps reach 3e5 m.
 
     f, p and g are F_pp, P_pp and E_pp in units of their zero-temperature
     values.
     """
+    t = _tau(z, T)
     if t >= _TWO_PI:
         s0, s1, s2, terms = _moments(t)
         bracket = s0 - s1
         f = _F_NORM * t * bracket
         p = _P_NORM * t * (2.0 * s0 - 3.0 * s1 + s2)
         g = _G_NORM * t * s0
-        return f, p, g, bracket, terms
-    # Dual side.  With S, DS and D^2 S now the moments at sigma (where D is
-    # sigma d/dsigma, and tau d/dtau = -D), the duality gives
-    #   tau B             = pi^4/45 + tau^3 [(S - DS)/(4 pi^2) - tau/720]
-    #   tau (2B - tau B') = pi^4/15 + tau^3 [(DS - D^2 S)/(4 pi^2) + tau/720]
-    #   tau S             = pi^4/90 + tau^2 [pi^2/72 + tau (tau/1440 - S/(4 pi^2))].
-    sigma = _FOUR_PI_SQ / t if t > 0.0 else math.inf
-    s0, s1, s2, terms = _moments(sigma)
-    t3 = t * t * t
-    f = 1.0 + _F_NORM * t3 * ((s0 - s1) / _FOUR_PI_SQ - t / 720.0)
-    p = 1.0 + _P_NORM * t3 * ((s1 - s2) / _FOUR_PI_SQ + t / 720.0)
-    g = 1.0 + _G_NORM * t * t * (_PI_SQ / 72.0 + t * (t / 1440.0 - s0 / _FOUR_PI_SQ))
-    # B = pi^4 f / (45 tau), with 1/tau = sigma / (4 pi^2); +inf at T = 0.
-    return f, p, g, _PI_SQ / 180.0 * sigma * f, terms
+    else:
+        # Dual side.  With S, DS and D^2 S now the moments at sigma (where D
+        # is sigma d/dsigma, and tau d/dtau = -D), the duality gives
+        #   tau B             = pi^4/45 + tau^3 [(S - DS)/(4 pi^2) - tau/720]
+        #   tau (2B - tau B') = pi^4/15 + tau^3 [(DS - D^2 S)/(4 pi^2) + tau/720]
+        #   tau S             = pi^4/90 + tau^2 [pi^2/72 + tau (tau/1440 - S/(4 pi^2))].
+        sigma = _FOUR_PI_SQ / t if t > 0.0 else math.inf
+        s0, s1, s2, terms = _moments(sigma)
+        t3 = t * t * t
+        f = 1.0 + _F_NORM * t3 * ((s0 - s1) / _FOUR_PI_SQ - t / 720.0)
+        p = 1.0 + _P_NORM * t3 * ((s1 - s2) / _FOUR_PI_SQ + t / 720.0)
+        g = 1.0 + _G_NORM * t * t * (_PI_SQ / 72.0 + t * (t / 1440.0 - s0 / _FOUR_PI_SQ))
+        # B = pi^4 f / (45 tau), with 1/tau = sigma / (4 pi^2); +inf at T = 0.
+        bracket = _PI_SQ / 180.0 * sigma * f
+    return (_MINUS_PI_SQ_HBAR_C / (720.0 * z**3) * f,
+            _MINUS_PI_SQ_HBAR_C / (240.0 * z**4) * p,
+            _MINUS_PI_SQ_HBAR_C / (1440.0 * z**2) * g,
+            bracket, terms)
 
 
 def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
@@ -205,8 +216,9 @@ def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
 
     Valid for every T >= 0; at T = 0, f = 1 exactly and the bracket is +inf.
     """
-    f, _, _, bracket, terms = _plate_kernel(tau(z, T))
-    return FreeEnergyAreal(_MINUS_PI_SQ_HBAR_C / (720.0 * z**3) * f, bracket, terms)
+    _check_domain(z, T)
+    F, _, _, bracket, terms = _plate_kernel(z, T)
+    return FreeEnergyAreal(F, bracket, terms)
 
 
 def pressure_pp(z: float, T: float) -> float:
@@ -216,13 +228,8 @@ def pressure_pp(z: float, T: float) -> float:
 
     Negative for all valid inputs (the plates attract).
     """
-    return _pressure(z, tau(z, T))
-
-
-def _pressure(z: float, t: float) -> float:
-    """P_pp at separation z and thermal parameter t, with no domain check."""
-    _, p, _, _, _ = _plate_kernel(t)
-    return _MINUS_PI_SQ_HBAR_C / (240.0 * z**4) * p
+    _check_domain(z, T)
+    return _plate_kernel(z, T)[1]
 
 
 def free_energy_integral_pp(z: float, T: float) -> float:
@@ -232,15 +239,8 @@ def free_energy_integral_pp(z: float, T: float) -> float:
 
     Negative for all valid inputs; at T = 0, g = 1 exactly.
     """
-    return _free_energy_and_integral(z, tau(z, T), True)[1]
-
-
-def _free_energy_and_integral(z: float, t: float, integral: bool) -> tuple[float, float]:
-    """F_pp and, if ``integral`` (else NaN), E_pp at separation z and thermal
-    parameter t from one kernel call, with no domain check."""
-    f, _, g, _, _ = _plate_kernel(t)
-    return (_MINUS_PI_SQ_HBAR_C / (720.0 * z**3) * f,
-            _MINUS_PI_SQ_HBAR_C / (1440.0 * z**2) * g if integral else math.nan)
+    _check_domain(z, T)
+    return _plate_kernel(z, T)[2]
 
 
 def _momentum_integrand(y: float) -> float:

@@ -95,6 +95,22 @@ def test_simplified_warning_deduplicated(tmp_path, capsys):
     assert err.count("warning:") == 1
 
 
+@pytest.mark.parametrize("imperfection", [
+    pytest.param(["--profile", "bubble", "--R1", "25cm", "--D1", "0.5um"], id="bubble"),
+    pytest.param(["--profile", "pit", "--R1", "12cm", "--D1", "1um"], id="pit"),
+])
+def test_closed_bubble_and_pit_forms_follow_the_a_over_r_rule(tmp_path, capsys, imperfection):
+    out = tmp_path / "x.csv"
+    argv = ["force", "--R", "15cm", *imperfection, "--out", str(out)]
+    assert main(argv + ["--a-list", "1cm,20cm"]) == 1
+    assert not out.exists()
+    assert "error: a=0.2 is not small against R=0.15" in capsys.readouterr().err
+    assert main(argv + ["--a-list", "1cm,1cm"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert f"the {imperfection[1]} PFA form degrades" in err
+
+
 def test_ratio_benchmark_value(tmp_path):
     out = tmp_path / "ratio.csv"
     assert main(["ratio", "--profile", "bubble", "--R", "15cm", "--R1", "25cm",

@@ -38,7 +38,7 @@ from caslens import (
 from caslens.cli import main
 from caslens.exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, NumericalError,
                                 check_finite)
-from caslens.plates import _free_energy_and_integral, _pressure, _tau, free_energy_integral_pp
+from caslens.plates import _plate_kernel, free_energy_integral_pp
 from test_boundary import ENTRIES
 
 LENGTH_MIN, LENGTH_MAX = LENGTH[:2]
@@ -72,8 +72,7 @@ def test_kernel_products_stay_in_the_float_range(z, T):
     # -pi^2 hbar c / (divisor z^power) * factor, which plates once guarded
     # with a try/except ArithmeticError, is finite and negative at every
     # corner, the private path's largest gap included.
-    F, E = _free_energy_and_integral(z, _tau(z, T), True)
-    P = _pressure(z, _tau(z, T))
+    F, P, E = _plate_kernel(z, T)[:3]
     for value in (F, P, E):
         assert -math.inf < value < 0.0
     if z <= LENGTH_MAX:

@@ -26,6 +26,7 @@ from caslens import (
 )
 from caslens.exceptions import QuadratureError
 from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN
+from caslens.quadrature import integrate
 
 R_BENCH = 0.15
 T_BENCH = 300.0
@@ -41,6 +42,19 @@ BENCH_LINE2 = (0.429, 0.507, 0.580, 0.641, 0.689)
 BENCH_LINE3 = (0.314, 0.409, 0.496, 0.570, 0.627)
 
 
+@pytest.fixture
+def kernel_gaps(monkeypatch):
+    """The gaps at which pfa calls the plate kernel, in call order."""
+    kernel, gaps = pfa._plate_kernel, []
+
+    def counted(z, T):
+        gaps.append(z)
+        return kernel(z, T)
+
+    monkeypatch.setattr(pfa, "_plate_kernel", counted)
+    return gaps
+
+
 def test_simplified_form_is_two_pi_r_times_plate_energy():
     a = 1.0e-6
     result = force_perfect_simplified(a, T_BENCH, R_BENCH)
@@ -53,11 +67,21 @@ def test_simplified_form_is_two_pi_r_times_plate_energy():
     assert result.warning is None
 
 
-def test_simplified_form_applicability_guard():
-    with pytest.raises(ValueError):
-        force_perfect_simplified(0.2, T_BENCH, R_BENCH)
-    flagged = force_perfect_simplified(2.0e-3, T_BENCH, R_BENCH)
+@pytest.mark.parametrize("form, closed", [
+    pytest.param("simplified", lambda a: force_perfect_simplified(a, T_BENCH, R_BENCH),
+                 id="simplified"),
+    pytest.param("bubble", lambda a: force_bubble(a, T_BENCH, R_BENCH, 0.25, 0.5e-6), id="bubble"),
+    pytest.param("pit", lambda a: force_pit(a, T_BENCH, R_BENCH, 0.12, 1.0e-6), id="pit"),
+])
+def test_simplified_form_applicability_guard(form, closed):
+    # Every closed form drops terms of order a/R: a >= R is refused, and
+    # a/R >= 1e-2 carries a warning naming the form.
+    with pytest.raises(ValueError, match=r"a=0.2 is not small against R=0.15"):
+        closed(0.2)
+    flagged = closed(2.0e-3)
     assert flagged.warning is not None
+    assert f"the {form} PFA form degrades" in flagged.warning
+    assert closed(1.0e-3).warning is None
 
 
 def test_full_form_differs_from_simplified_at_order_a_over_r():
@@ -157,7 +181,8 @@ def test_quadrature_integrates_the_pit_profile_faithfully():
 
 def test_quadrature_with_injected_constant_kernel(monkeypatch):
     # With P(z) = -1 the surface integral collapses to the projected area.
-    monkeypatch.setattr("caslens.pfa._pressure", lambda z, t: -1.0)
+    monkeypatch.setattr("caslens.pfa._plate_kernel",
+                        lambda z, T: (math.nan, -1.0, math.nan, math.nan, 0))
     profile = LensProfile.perfect(R=R_BENCH)
     result = force_general(profile, 1.0e-6, T_BENCH)
     expected = -math.pi * lateral_extent(profile) ** 2
@@ -233,6 +258,11 @@ def test_pit_degenerates_to_simplified_perfect():
 def test_closed_form_domain_errors():
     with pytest.raises(ValueError):
         force_pit(1.0e-6, T_BENCH, R_BENCH, R_BENCH, 1.0e-6)   # pit needs R1 < R
+    # The served domain is checked first, so the refusal names the argument.
+    with pytest.raises(ValueError, match=r"curvature radius R=1e-13 lies outside"):
+        force_pit(1.0e-6, T_BENCH, 1.0e-13, 0.12, 1.0e-6)
+    with pytest.raises(ValueError, match=r"imperfection radius R1=inf lies outside"):
+        force_pit(1.0e-6, T_BENCH, R_BENCH, math.inf, 1.0e-6)
     with pytest.raises(ValueError):
         force_bubble(1.0e-6, T_BENCH, R_BENCH, -0.1, 1.0e-6)
     with pytest.raises(ValueError):
@@ -293,18 +323,10 @@ def test_ratio_curve_equals_the_ratio_of_forces(pit, R, D1, footprint, separatio
 
 
 @pytest.mark.parametrize("profile", [BUBBLE_WIDE, PIT_CASE])
-def test_ratio_curve_evaluates_each_distinct_gap_once(monkeypatch, profile):
-    calls = []
-
-    def counted(z, T, integral):
-        calls.append(z)
-        return kernel(z, T, integral)
-
-    kernel = pfa._free_energy_and_integral
-    monkeypatch.setattr(pfa, "_free_energy_and_integral", counted)
+def test_ratio_curve_evaluates_each_distinct_gap_once(kernel_gaps, profile):
     grid = (1.0e-6, 1.5e-6, 2.0e-6, 2.5e-6, 3.0e-6)
     ratio_curve(profile, grid, T_BENCH)
-    assert len(calls) == 2 * len(grid)
+    assert len(kernel_gaps) == 2 * len(grid)
 
 
 def test_ratio_curve_container_validation():
@@ -397,16 +419,34 @@ def test_full_serves_bubbles_and_pits_by_parts(profile):
     (BUBBLE_WIDE, 3),
     (PIT_CASE, 3),
 ])
-def test_full_takes_one_kernel_call_per_distinct_gap(monkeypatch, profile, calls):
-    kernel, gaps = pfa._free_energy_and_integral, []
-
-    def counted(z, T, integral):
-        gaps.append(z)
-        return kernel(z, T, integral)
-
-    monkeypatch.setattr(pfa, "_free_energy_and_integral", counted)
+def test_full_takes_one_kernel_call_per_distinct_gap(kernel_gaps, profile, calls):
     force(profile, 1.0e-6, T_BENCH, "full")
-    assert len(gaps) == len(set(gaps)) == calls
+    assert len(kernel_gaps) == len(set(kernel_gaps)) == calls
+
+
+@pytest.mark.parametrize("profile, calls", [
+    (LensProfile.perfect(R_BENCH), 1),
+    (BUBBLE_WIDE, 2),
+    (PIT_CASE, 2),
+])
+def test_closed_forms_take_one_kernel_call_per_distinct_gap(kernel_gaps, profile, calls):
+    force(profile, 1.0e-6, T_BENCH)
+    assert len(kernel_gaps) == len(set(kernel_gaps)) == calls
+
+
+@pytest.mark.parametrize("profile", [LensProfile.perfect(R_BENCH), BUBBLE_WIDE, PIT_CASE])
+def test_quadrature_takes_one_kernel_call_per_evaluation(monkeypatch, kernel_gaps, profile):
+    evaluations = []
+
+    def counted(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        evaluations.append(result[2])
+        return result
+
+    monkeypatch.setattr(pfa, "integrate", counted)
+    force(profile, 1.0e-6, T_BENCH, "quadrature")
+    assert len(evaluations) == 2
+    assert len(kernel_gaps) == sum(evaluations) > 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -207,9 +207,9 @@ def test_zero_temperature_dedicated_path():
     assert math.isinf(result.bracket)
     assert result.terms_used == 0
     # g(0) is 1.0 exactly, so E_pp takes the closed zero-temperature value.
-    assert plates._plate_kernel(0.0)[2] == 1.0
-    assert free_energy_integral_pp(z, 0.0) == (
-        -math.pi**2 * REDUCED_PLANCK * LIGHT_SPEED / (1440.0 * z**2))
+    closed_integral = -math.pi**2 * REDUCED_PLANCK * LIGHT_SPEED / (1440.0 * z**2)
+    assert plates._plate_kernel(z, 0.0)[2] == closed_integral
+    assert free_energy_integral_pp(z, 0.0) == closed_integral
 
 
 def assert_kernel_matches_mpmath(target):
