@@ -26,7 +26,6 @@ from .lens import (
     SpecReport,
     derive_geometry,
     lateral_extent,
-    profile_height,
     validate_spec,
 )
 from .metrology import (
@@ -47,7 +46,6 @@ from .pfa import (
     force_bubble,
     force_general,
     force_perfect_full,
-    force_perfect_simplified,
     force_pit,
     ratio_curve,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "SpecReport",
     "derive_geometry",
     "lateral_extent",
-    "profile_height",
     "validate_spec",
     "CombinedError",
     "ErrorBudget",
@@ -99,7 +96,6 @@ __all__ = [
     "force_bubble",
     "force_general",
     "force_perfect_full",
-    "force_perfect_simplified",
     "force_pit",
     "ratio_curve",
     "ZETA3",

@@ -18,7 +18,6 @@ numbers in scientific notation with 12 significant digits.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -199,24 +198,31 @@ def _cmd_combine_errors(args: argparse.Namespace) -> int:
     for key in ("random_error", "systematic_components", "variance_of_mean"):
         if key not in settings:
             raise UsageError(f"budget file {args.budget} is missing {key!r}")
-    beta = float(settings.get("beta", "0.95"))
+
+    def number(key: str, text: str) -> float:
+        try:
+            return float(text)
+        except ValueError as exc:
+            raise UsageError(f"budget file {args.budget}: {key}: {exc}") from None
+
+    beta = number("beta", settings.get("beta", "0.95"))
     components = tuple(
-        float(item) for item in settings["systematic_components"].split(",")
-        if item.strip()
+        number("systematic_components", item)
+        for item in settings["systematic_components"].split(",") if item.strip()
     )
     k_table = load_k_table(args.k_table, beta) if args.k_table else {}
     q_table = load_q_table(args.q_table, beta) if args.q_table else {}
     budget = ErrorBudget(
-        random_error=float(settings["random_error"]),
+        random_error=number("random_error", settings["random_error"]),
         systematic_components=components,
-        variance_of_mean=float(settings["variance_of_mean"]),
+        variance_of_mean=number("variance_of_mean", settings["variance_of_mean"]),
         beta=beta,
         k_table=k_table,
         q_table=q_table,
     )
     measured = args.value
     if measured is None and "measured_value" in settings:
-        measured = float(settings["measured_value"])
+        measured = number("measured_value", settings["measured_value"])
     combined = total_error(budget, measured)
     print(f"r = {combined.r:.6g}")
     print(f"rule = {combined.rule_applied.value}")

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .exceptions import (LENGTH, LENGTH_OR_ZERO, TOLERANCE, DegenerateImperfectionError,
-                         check_finite)
+from .exceptions import LENGTH, TOLERANCE, DegenerateImperfectionError, check_finite
 
 #: Optical-surface quality bounds on the imperfection footprint diameter 2r.
 FOOTPRINT_DIAMETER_MIN = 30.0e-6
@@ -145,7 +144,8 @@ def _cap_height(radius: float, rho: float) -> float:
 
 
 def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
-    """The height profile rho -> z of ``profile_height`` at closest approach a.
+    """The separation rho -> z between the plate and the lens surface above
+    radius rho, at closest approach a.
 
     The seam geometry is computed once, so a quadrature can call the
     returned function at every node; it does not check that rho lies in
@@ -180,16 +180,6 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
         return a + _cap_height(R, rho) - seam
 
     return pit
-
-
-def profile_height(profile: LensProfile, rho: float, a: float) -> float:
-    """Separation z between the plate and the lens surface above radius rho."""
-    height = height_function(profile, a)
-    check_finite("radial coordinate rho", rho, LENGTH_OR_ZERO)
-    extent = lateral_extent(profile)
-    if rho > extent:
-        raise ValueError(f"rho={rho!r} lies outside the lens extent {extent!r}")
-    return height(rho)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Each annulus of the lens at local separation z(rho) contributes the
 parallel-plate pressure over its area:  F = 2 pi integral rho P_pp(z(rho)) drho.
 Every profile here is piecewise spherical.  On a piece of radius R_i,
 rho drho = (R_i - h) dh, so the integral goes by parts into F = F_pp(z, T)
-and its antiderivative E = E_pp(z, T) (``free_energy_integral_pp``) at the
+and its antiderivative E = E_pp(z, T) (from ``plates._plate_kernel``) at the
 ends of the pieces.  Every method but ``quadrature`` is then a term list,
 2 pi sum c_i K(z_i) with K = F or E.  With r the footprint radius of a
 bubble or pit and s = R - sqrt(R^2 - r^2) the lens sagitta over it:
@@ -32,11 +32,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .exceptions import LENGTH, LENGTH_OR_ZERO, TEMPERATURE, QuadratureError, check_finite
+from .exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, QuadratureError,
+                         check_finite)
 from .lens import (LensKind, LensProfile, _cap_height, derive_geometry, height_function,
                    lateral_extent)
 from .plates import _plate_kernel
-from .quadrature import integrate
+from .quadrature import MIN_REL_TOL, integrate
 
 #: Default relative tolerance for the PFA quadrature, and the accuracy bound
 #: every term-list sum must meet.
@@ -192,31 +193,14 @@ def _sum(terms: tuple, T: float, a: float, thin: tuple[str, float],
     return signed
 
 
-def force_perfect_simplified(a: float, T: float, R: float) -> ForceResult:
-    """Leading PFA form for a perfect lens:  F = 2 pi R F_pp(a, T).
-
-    Valid for a << R; when a/R creeps above 1e-2 the result carries an
-    applicability warning (and a >= R is rejected outright).
-    """
-    _validate_point(a, T, R)
-    warning = _applicability(a, R, "simplified")
-    signed = _sum(_terms(LensKind.PERFECT, False, R), T, a, ("curvature radius R", R))
-    return ForceResult(-signed, True, ForceMethod.PERFECT_SIMPLIFIED, a, T, warning)
-
-
 def force_perfect_full(a: float, T: float, R: float, D: float | None = None) -> ForceResult:
-    """Exact PFA force on a perfect lens of thickness D (default R, a
-    hemisphere), by parts: 2 pi [R F_pp(a) - (R - D) F_pp(a + D) - E_pp(a)
-    + E_pp(a + D)], with no quadrature.  For D << a the terms cancel, and a
-    D too thin for the 1e-9 bound is refused: at a = 1 um, 300 K and
-    R = 15 cm, D = 1e-11 m is served and D = 1e-12 m is not.
+    """``force(LensProfile.perfect(R, D), a, T, "full")``: the exact PFA force
+    on a perfect lens of thickness D (default R, a hemisphere), by parts.
+    For D << a the terms cancel, and a D too thin for the 1e-9 bound is
+    refused: at a = 1 um, 300 K and R = 15 cm, D = 1e-11 m is served and
+    D = 1e-12 m is not.
     """
-    _validate_point(a, T, R)
-    D = R if D is None else check_finite("lens thickness D", D, LENGTH)
-    if D > 2.0 * R:
-        raise ValueError(f"lens thickness D={D!r} exceeds the sphere 2R")
-    signed = _sum(_terms(LensKind.PERFECT, True, R, D=D), T, a, ("lens thickness D", D))
-    return ForceResult(-signed, True, ForceMethod.PERFECT_FULL, a, T)
+    return force(LensProfile.perfect(R, D), a, T, ForceMethod.PERFECT_FULL)
 
 
 def force_bubble(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult:
@@ -276,6 +260,8 @@ def force_general(
     exact PFA by parts, within 1e-10 relative on every profile kind.
     """
     _validate_point(a, T, profile.R)
+    check_finite("quad_tol", quad_tol, TOLERANCE)
+    panel_tol = max(0.1 * quad_tol, MIN_REL_TOL)  # a tenth each; 0.1 * 5e-324 is 0
     height = height_function(profile, a)  # rejects D > R: z(rho) is single-valued
     extent = lateral_extent(profile)  # >= sqrt(D R) >= 1e-12 m, as D <= R
     if profile.kind is LensKind.PERFECT:
@@ -291,9 +277,9 @@ def force_general(
         rho = min(math.exp(v), extent)
         return rho * rho * _plate_kernel(height(rho), T)[1]
 
-    inner_value, inner_error, _ = integrate(inner, 0.0, split, rel_tol=0.1 * quad_tol)
+    inner_value, inner_error, _ = integrate(inner, 0.0, split, rel_tol=panel_tol)
     outer_value, outer_error, _ = integrate(outer, math.log(split), math.log(extent),
-                                            rel_tol=0.1 * quad_tol)
+                                            rel_tol=panel_tol)
     signed = 2.0 * math.pi * (inner_value + outer_value)
     achieved = 2.0 * math.pi * (inner_error + outer_error)
     if signed != 0.0 and achieved > quad_tol * abs(signed):
@@ -327,13 +313,12 @@ def force(
     method = closed if method is None else ForceMethod(method)
     if method is ForceMethod.GENERAL_QUADRATURE:
         return force_general(profile, a, T, quad_tol=DEFAULT_QUAD_TOL if tol is None else tol)
-    if method is ForceMethod.PERFECT_FULL and perfect:
-        return force_perfect_full(a, T, R, D)
     if method is ForceMethod.PERFECT_FULL:
         _validate_point(a, T, R)
-        if D > R:
+        if not perfect and D > R:
             raise ValueError(f"lens thickness D={D!r} exceeds R={R!r}: full serves D <= R here")
-        r, extent = derive_geometry(profile).r, lateral_extent(profile)
+        r = 0.0 if perfect else derive_geometry(profile).r  # a perfect lens: no footprint
+        extent = lateral_extent(profile)
         if not r <= extent:
             raise ValueError(f"footprint r={r!r} does not fit inside the lens extent {extent!r}")
         terms = _terms(kind, True, R, R1, D1, D, _cap_height(R, r))
@@ -341,7 +326,10 @@ def force(
     if method is not closed:
         raise ValueError(f"method {method.value!r} does not serve {kind.value} profiles")
     if perfect:
-        return force_perfect_simplified(a, T, R)
+        _validate_point(a, T, R)
+        warning = _applicability(a, R, "simplified")
+        signed = _sum(_terms(kind, False, R), T, a, ("curvature radius R", R))
+        return ForceResult(-signed, True, method, a, T, warning)
     return (force_pit if kind is LensKind.PIT else force_bubble)(a, T, R, R1, D1)
 
 

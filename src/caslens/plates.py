@@ -232,17 +232,6 @@ def pressure_pp(z: float, T: float) -> float:
     return _plate_kernel(z, T)[1]
 
 
-def free_energy_integral_pp(z: float, T: float) -> float:
-    """Antiderivative of F_pp that vanishes at infinity, in J/m.
-
-        E_pp(z, T) = integral_z^inf F_pp(z', T) dz' = - (pi^2 hbar c / (1440 z^2)) * g(tau)
-
-    Negative for all valid inputs; at T = 0, g = 1 exactly.
-    """
-    _check_domain(z, T)
-    return _plate_kernel(z, T)[2]
-
-
 def _momentum_integrand(y: float) -> float:
     # y * ln(1 - e^(-y)), continued by its limit 0 at y = 0.
     if y <= 0.0:

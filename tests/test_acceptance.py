@@ -21,10 +21,10 @@ from caslens import (
     ZETA3,
     combine_systematic,
     derive_geometry,
+    force,
     force_bubble,
     force_general,
     force_perfect_full,
-    force_perfect_simplified,
     force_pit,
     free_energy_pp,
     free_energy_pp_oracle,
@@ -240,7 +240,7 @@ def test_acceptance_6_closed_form_degeneracies(capsys):
         T = rng.uniform(50.0, 600.0)
         D1 = rng.uniform(0.1e-6, 2.0e-6)
         R1 = rng.uniform(0.01, 0.3)
-        reference = force_perfect_simplified(a, T, R).magnitude
+        reference = force(LensProfile.perfect(R), a, T).magnitude
         for degenerate in (
             force_bubble(a, T, R, R, D1),      # bubble spanning the whole cap
             force_bubble(a, T, R, R1, 0.0),    # bubble of zero depth

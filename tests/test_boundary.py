@@ -6,15 +6,15 @@ import time
 
 import pytest
 
+import caslens
+
 from caslens import (
     LensProfile,
     force,
     force_bubble,
     force_general,
     force_perfect_full,
-    force_perfect_simplified,
     force_pit,
-    profile_height,
     ratio_curve,
     tau,
     validate_spec,
@@ -54,8 +54,6 @@ ENTRIES = {
                          AT_POINT),
     "force-bubble": (force, {"profile": BUBBLE, **POINT, "method": "bubble"}, AT_POINT),
     "force-pit": (force, {"profile": PIT, **POINT, "method": "pit"}, AT_POINT),
-    "force_perfect_simplified": (force_perfect_simplified, {**POINT, "R": R},
-                                 {**AT_POINT, "R": POSITIVE}),
     "force_perfect_full": (force_perfect_full, {**POINT, "R": R, "D": R},
                            {**AT_POINT, "R": POSITIVE, "D": POSITIVE}),
     "force_bubble": (force_bubble, {**POINT, "R": R, "R1": 0.25, "D1": 0.5e-6},
@@ -65,8 +63,6 @@ ENTRIES = {
     "force_general": (force_general, {"profile": BUBBLE, **POINT, "quad_tol": 1.0e-9},
                       {**AT_POINT, "quad_tol": POSITIVE}),
     "ratio_curve": (ratio_curve_ending_at, {"profile": PIT, **POINT}, AT_POINT),
-    "profile_height": (profile_height, {"profile": BUBBLE, "rho": 1.0e-4, "a": 1.0e-6},
-                       {"rho": NON_NEGATIVE, "a": POSITIVE}),
     "validate_spec": (validate_spec, {"profile": BUBBLE, "curvature_tolerance": 5.0e-4},
                       {"curvature_tolerance": POSITIVE}),
     "tau": (tau, {"z": 1.0e-6, "T": 300.0}, {"z": POSITIVE, "T": NON_NEGATIVE}),
@@ -91,3 +87,12 @@ def test_out_of_domain_argument_is_a_value_error(label, name, bad):
     with pytest.raises(ValueError):
         entry(**{**valid, name: bad})
     assert time.process_time() - start < 0.05
+
+
+def test_every_exported_name_resolves():
+    assert len(set(caslens.__all__)) == len(caslens.__all__)
+    missing = [name for name in caslens.__all__ if not hasattr(caslens, name)]
+    assert missing == []
+    namespace = {}
+    exec("from caslens import *", namespace)
+    assert set(caslens.__all__) <= namespace.keys()

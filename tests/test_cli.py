@@ -301,6 +301,26 @@ def test_combine_errors_rejects_non_finite_value(tmp_path, capsys, value):
     assert "delta_t_relative" not in captured.out
 
 
+@pytest.mark.parametrize("key, value", [
+    ("random_error", "abc"),
+    ("variance_of_mean", "abc"),
+    ("beta", "abc"),
+    ("measured_value", "abc"),
+    ("systematic_components", "0.1,abc"),
+])
+def test_combine_errors_names_the_budget_value_that_is_not_a_number(tmp_path, capsys, key,
+                                                                    value):
+    budget = tmp_path / "budget.cfg"
+    settings = {"random_error": "0.05", "systematic_components": "0.19",
+                "variance_of_mean": "0.02", key: value}
+    budget.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()), encoding="utf-8")
+    assert main(["combine-errors", "--budget", str(budget)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: budget file {budget}: {key}: could not convert string to float: 'abc'"]
+
+
 def test_combine_errors_refuses_a_budget_that_leaves_the_float_range(tmp_path, capsys):
     # delta_s = 3e308 overflows to inf, and so would r, delta_t and the relative.
     budget = tmp_path / "budget.cfg"

@@ -38,7 +38,7 @@ from caslens import (
 from caslens.cli import main
 from caslens.exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, NumericalError,
                                 check_finite)
-from caslens.plates import _plate_kernel, free_energy_integral_pp
+from caslens.plates import _plate_kernel
 from test_boundary import ENTRIES
 
 LENGTH_MIN, LENGTH_MAX = LENGTH[:2]
@@ -76,8 +76,7 @@ def test_kernel_products_stay_in_the_float_range(z, T):
     for value in (F, P, E):
         assert -math.inf < value < 0.0
     if z <= LENGTH_MAX:
-        assert (free_energy_pp(z, T).value, pressure_pp(z, T),
-                free_energy_integral_pp(z, T)) == (F, P, E)
+        assert (free_energy_pp(z, T).value, pressure_pp(z, T)) == (F, P)
 
 
 @pytest.mark.parametrize("z, T", [
@@ -147,7 +146,7 @@ def _domain_of(label, name):
         return TEMPERATURE
     if name in ("tol", "quad_tol", "curvature_tolerance"):
         return TOLERANCE
-    if name == "rho" or (label in ("force_bubble", "force_pit") and name in ("R1", "D1")):
+    if label in ("force_bubble", "force_pit") and name in ("R1", "D1"):
         return LENGTH_OR_ZERO
     return LENGTH
 
@@ -214,7 +213,7 @@ def _check_result(result, args):
         assert all(b > prev for prev, b in zip(result, result[1:]))
     elif isinstance(result, dict):  # a coefficient table
         assert all(math.isfinite(v) for v in result.values())
-    else:  # tau, profile_height, lateral_extent
+    else:  # tau, lateral_extent
         assert 0.0 <= result < math.inf
 
 

@@ -12,9 +12,9 @@ from caslens import (
     LensProfile,
     derive_geometry,
     lateral_extent,
-    profile_height,
     validate_spec,
 )
+from caslens.lens import height_function
 
 BENCHMARK_R = 0.15
 
@@ -89,14 +89,14 @@ def test_degenerate_imperfection_rejected():
 
 def test_height_at_axis_and_seam():
     a = 1.0e-6
-    assert profile_height(LensProfile.perfect(R=0.15), 0.0, a) == a
-    assert profile_height(BUBBLE_WIDE, 0.0, a) == a
+    assert height_function(LensProfile.perfect(R=0.15), a)(0.0) == a
+    assert height_function(BUBBLE_WIDE, a)(0.0) == a
     r = derive_geometry(PIT_CASE).r
-    assert_allclose(profile_height(PIT_CASE, r, a), a, rtol=1.0e-12)
-    assert_allclose(profile_height(PIT_CASE, 0.0, a), a + PIT_CASE.D1,
+    assert_allclose(height_function(PIT_CASE, a)(r), a, rtol=1.0e-12)
+    assert_allclose(height_function(PIT_CASE, a)(0.0), a + PIT_CASE.D1,
                     rtol=1.0e-12)
     r_bubble = derive_geometry(BUBBLE_WIDE).r
-    assert_allclose(profile_height(BUBBLE_WIDE, r_bubble, a),
+    assert_allclose(height_function(BUBBLE_WIDE, a)(r_bubble),
                     a + BUBBLE_WIDE.D1, rtol=1.0e-12)
 
 
@@ -106,8 +106,8 @@ def test_seam_continuity_over_random_profiles():
     for _ in range(100):
         profile = random_profile(rng)
         r = derive_geometry(profile).r
-        inner = profile_height(profile, r, a)
-        outer = profile_height(profile, np.nextafter(r, np.inf), a)
+        inner = height_function(profile, a)(r)
+        outer = height_function(profile, a)(np.nextafter(r, np.inf))
         assert abs(outer - inner) / inner < 1.0e-9
 
 
@@ -115,13 +115,13 @@ def test_minimum_height_location():
     a = 1.0e-6
     r = derive_geometry(PIT_CASE).r
     grid = np.concatenate([np.linspace(0.0, lateral_extent(PIT_CASE), 2001), [r]])
-    heights = np.array([profile_height(PIT_CASE, rho, a) for rho in grid])
+    heights = np.array([height_function(PIT_CASE, a)(rho) for rho in grid])
     assert heights.min() >= a * (1.0 - 1.0e-12)
     assert grid[np.argmin(heights)] == pytest.approx(r, rel=1.0e-3)
 
     for profile in (LensProfile.perfect(R=0.15), BUBBLE_WIDE, BUBBLE_NARROW):
         grid = np.linspace(0.0, lateral_extent(profile), 2001)
-        heights = np.array([profile_height(profile, rho, a) for rho in grid])
+        heights = np.array([height_function(profile, a)(rho) for rho in grid])
         assert heights.min() == heights[0] == a
 
 
@@ -131,29 +131,25 @@ def test_bubble_with_matching_radius_degenerates_to_perfect():
     perfect = LensProfile.perfect(R=R)
     a = 1.0e-6
     for rho in np.linspace(0.0, lateral_extent(perfect), 50):
-        assert_allclose(profile_height(bubble, rho, a),
-                        profile_height(perfect, rho, a), rtol=1.0e-12)
+        assert_allclose(height_function(bubble, a)(rho),
+                        height_function(perfect, a)(rho), rtol=1.0e-12)
 
 
 def test_height_grows_monotonically_outward():
     a = 1.0e-6
     for profile in (LensProfile.perfect(R=0.15), BUBBLE_WIDE, BUBBLE_NARROW):
         grid = np.linspace(0.0, lateral_extent(profile), 500)
-        heights = np.array([profile_height(profile, rho, a) for rho in grid])
+        heights = np.array([height_function(profile, a)(rho) for rho in grid])
         assert np.all(np.diff(heights) > 0.0)
 
 
 def test_height_domain_errors():
     profile = LensProfile.perfect(R=0.15)
     with pytest.raises(ValueError):
-        profile_height(profile, -1.0e-6, 1.0e-6)
-    with pytest.raises(ValueError):
-        profile_height(profile, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        profile_height(profile, 1.01 * lateral_extent(profile), 1.0e-6)
+        height_function(profile, 0.0)
     tall = LensProfile.perfect(R=0.15, D=0.25)
     with pytest.raises(ValueError):
-        profile_height(tall, 0.0, 1.0e-6)
+        height_function(tall, 1.0e-6)
 
 
 def test_lateral_extent():

@@ -1,6 +1,7 @@
 """Plate-lens forces: closed forms, direct quadrature and ratio curves."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from caslens import (
     force_bubble,
     force_general,
     force_perfect_full,
-    force_perfect_simplified,
     force_pit,
     free_energy_pp,
     lateral_extent,
@@ -57,7 +57,7 @@ def kernel_gaps(monkeypatch):
 
 def test_simplified_form_is_two_pi_r_times_plate_energy():
     a = 1.0e-6
-    result = force_perfect_simplified(a, T_BENCH, R_BENCH)
+    result = force(LensProfile.perfect(R_BENCH), a, T_BENCH)
     expected = 2.0 * math.pi * R_BENCH * free_energy_pp(a, T_BENCH).value
     assert_allclose(result.value, expected, rtol=1.0e-15)
     assert result.attractive
@@ -68,7 +68,7 @@ def test_simplified_form_is_two_pi_r_times_plate_energy():
 
 
 @pytest.mark.parametrize("form, closed", [
-    pytest.param("simplified", lambda a: force_perfect_simplified(a, T_BENCH, R_BENCH),
+    pytest.param("simplified", lambda a: force(LensProfile.perfect(R_BENCH), a, T_BENCH),
                  id="simplified"),
     pytest.param("bubble", lambda a: force_bubble(a, T_BENCH, R_BENCH, 0.25, 0.5e-6), id="bubble"),
     pytest.param("pit", lambda a: force_pit(a, T_BENCH, R_BENCH, 0.12, 1.0e-6), id="pit"),
@@ -86,7 +86,7 @@ def test_simplified_form_applicability_guard(form, closed):
 
 def test_full_form_differs_from_simplified_at_order_a_over_r():
     for a in (1.0e-6, 2.0e-6, 3.0e-6):
-        simplified = force_perfect_simplified(a, T_BENCH, R_BENCH).value
+        simplified = force(LensProfile.perfect(R_BENCH), a, T_BENCH).value
         full = force_perfect_full(a, T_BENCH, R_BENCH).value
         rel = abs(simplified / full - 1.0)
         assert 0.1 * a / R_BENCH < rel < 10.0 * a / R_BENCH
@@ -229,6 +229,28 @@ def test_quadrature_requires_single_valued_surface():
         force_general(profile, 1.0e-6, T_BENCH)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda tol: force_general(BUBBLE_WIDE, 1.0e-6, T_BENCH, quad_tol=tol),
+                 id="force_general"),
+    pytest.param(lambda tol: force(BUBBLE_WIDE, 1.0e-6, T_BENCH, "quadrature", tol=tol),
+                 id="force"),
+])
+@pytest.mark.parametrize("tol", [-1.0, -2.0, 0.0, math.nan, math.inf])
+def test_bad_quadrature_tolerance_is_refused_under_its_own_name(call, tol):
+    # Not as the tenth of it that each panel is held to.
+    with pytest.raises(ValueError, match=re.escape(f"quad_tol={tol!r} lies outside the "
+                                                   "served range (0, inf)")):
+        call(tol)
+
+
+@pytest.mark.parametrize("tol", [5.0e-324, 1.0e-323, 1.0e-320])
+def test_subnormal_quadrature_tolerance_is_a_quadrature_error(tol):
+    # A tenth of 5e-324 underflows to 0, which no panel could be held to;
+    # a tolerance inside (0, inf) that no quadrature reaches is a NumericalError.
+    with pytest.raises(QuadratureError, match="above the requested"):
+        force_general(BUBBLE_WIDE, 1.0e-6, T_BENCH, quad_tol=tol)
+
+
 def test_bubble_degenerates_to_simplified_perfect():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -236,7 +258,7 @@ def test_bubble_degenerates_to_simplified_perfect():
         a = rng.uniform(0.5e-6, 3.0e-6)
         T = rng.uniform(100.0, 600.0)
         D1 = rng.uniform(1.0e-8, 0.9e-3 * R)
-        reference = force_perfect_simplified(a, T, R).value
+        reference = force(LensProfile.perfect(R), a, T).value
         same_radius = force_bubble(a, T, R, R, D1).value
         no_depth = force_bubble(a, T, R, rng.uniform(0.01, 1.0), 0.0).value
         assert abs(same_radius / reference - 1.0) < 1.0e-12
@@ -250,7 +272,7 @@ def test_pit_degenerates_to_simplified_perfect():
         a = rng.uniform(0.5e-6, 3.0e-6)
         T = rng.uniform(100.0, 600.0)
         D1 = rng.uniform(1.0e-8, 0.9e-3 * R)
-        reference = force_perfect_simplified(a, T, R).value
+        reference = force(LensProfile.perfect(R), a, T).value
         no_pit = force_pit(a, T, R, 0.0, D1).value
         assert abs(no_pit / reference - 1.0) < 1.0e-12
 
@@ -381,7 +403,9 @@ def test_force_defaults_to_the_closed_form_of_the_profile_kind(kind, R, a, T, ra
     R1, D1 = radius * R, depth * 1.0e-3 * R
     if kind is LensKind.PERFECT:
         profile = LensProfile.perfect(R)
-        expected = force_perfect_simplified(a, T, R)
+        # (2 pi R) F_pp(a), rounded as the simplified form rounds it; a/R < 1e-2.
+        expected = ForceResult(-(2.0 * math.pi * R * free_energy_pp(a, T).value), True,
+                               ForceMethod.PERFECT_SIMPLIFIED, a, T)
     elif kind is LensKind.BUBBLE:
         profile = LensProfile.bubble(R, R1, D1)
         expected = force_bubble(a, T, R, R1, D1)

@@ -19,7 +19,7 @@ from caslens import (
 from caslens import plates
 from caslens.constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from caslens.exceptions import QuadratureError
-from caslens.plates import ZETA3, free_energy_integral_pp
+from caslens.plates import ZETA3
 
 # Reference values frozen from independent evaluations (brute-force thermal
 # sum and central finite differences); see tests below for the live checks.
@@ -209,7 +209,6 @@ def test_zero_temperature_dedicated_path():
     # g(0) is 1.0 exactly, so E_pp takes the closed zero-temperature value.
     closed_integral = -math.pi**2 * REDUCED_PLANCK * LIGHT_SPEED / (1440.0 * z**2)
     assert plates._plate_kernel(z, 0.0)[2] == closed_integral
-    assert free_energy_integral_pp(z, 0.0) == closed_integral
 
 
 def assert_kernel_matches_mpmath(target):
@@ -221,7 +220,7 @@ def assert_kernel_matches_mpmath(target):
     assert result.terms_used <= 6
     assert relative_error(result.value, reference_f) <= KERNEL_REL_BOUND
     assert relative_error(pressure_pp(z, T), reference_p) <= KERNEL_REL_BOUND
-    assert relative_error(free_energy_integral_pp(z, T), reference_e) <= KERNEL_REL_BOUND
+    assert relative_error(plates._plate_kernel(z, T)[2], reference_e) <= KERNEL_REL_BOUND
 
 
 def test_small_tau_is_served_by_the_dual_series():
@@ -241,7 +240,7 @@ def test_kernel_is_continuous_across_two_pi():
     z = 1.0e-6
     below, above = (temperature_for_tau(z, t) for t in TAU_GRID[-2:])
     reference = [mpmath_plates(mp, z, T) for T in (below, above)]
-    kernel = [(free_energy_pp(z, T).value, pressure_pp(z, T), free_energy_integral_pp(z, T))
+    kernel = [(free_energy_pp(z, T).value, pressure_pp(z, T), plates._plate_kernel(z, T)[2])
               for T in (below, above)]
     for i in range(3):
         step = (kernel[1][i] - kernel[0][i]) - (reference[1][i] - reference[0][i])
