@@ -77,6 +77,14 @@ def _write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
         raise
 
 
+def _number(name: str, text: str) -> float:
+    """float(text), or a UsageError naming ``name`` and the text."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise UsageError(f"{name}: {exc}") from None
+
+
 def _merge_config(args: argparse.Namespace) -> None:
     """Fill each flag left unset from the ``--config`` file, if one is
     given: its hyphenated key (``a-list``) wins over its underscored one
@@ -150,7 +158,8 @@ def _cmd_force(args: argparse.Namespace) -> int:
     T = _temperature(args)
     grid = _grid(args)
     profile = _profile(args)
-    tol = check_finite("--tol", float(args.tol), TOLERANCE) if args.tol is not None else None
+    tol = (None if args.tol is None
+           else check_finite("--tol", _number("--tol", args.tol), TOLERANCE))
     warnings_seen: list[str] = []
     rows = []
     for a in grid:
@@ -167,14 +176,8 @@ def _cmd_force(args: argparse.Namespace) -> int:
 def _cmd_ratio(args: argparse.Namespace) -> int:
     T = _temperature(args)
     grid = _grid(args)
-    profile = _profile(args)
-    if profile.kind is LensKind.PERFECT:
-        raise UsageError("ratio curves require a bubble or pit profile")
-    if grid:
-        curve = ratio_curve(profile, grid, T)
-        rows = [(_fmt(a), _fmt(rho)) for a, rho in zip(curve.separations, curve.ratios)]
-    else:
-        rows = []
+    curve = ratio_curve(_profile(args), grid, T)
+    rows = [(_fmt(a), _fmt(rho)) for a, rho in zip(curve.separations, curve.ratios)]
     _write_csv(args.out, "a_m,ratio", rows)
     return 0
 
@@ -200,10 +203,7 @@ def _cmd_combine_errors(args: argparse.Namespace) -> int:
             raise UsageError(f"budget file {args.budget} is missing {key!r}")
 
     def number(key: str, text: str) -> float:
-        try:
-            return float(text)
-        except ValueError as exc:
-            raise UsageError(f"budget file {args.budget}: {key}: {exc}") from None
+        return _number(f"budget file {args.budget}: {key}", text)
 
     beta = number("beta", settings.get("beta", "0.95"))
     components = tuple(

@@ -137,6 +137,16 @@ def lateral_extent(profile: LensProfile) -> float:
     return math.sqrt(profile.D * (2.0 * profile.R - profile.D))
 
 
+def _footprint_in_lens(profile: LensProfile) -> float:
+    """The footprint radius r of a bubble or pit, or a ValueError unless it
+    fits inside the lens extent: the rule of every height-profile method."""
+    r = _footprint_radius(profile)
+    extent = lateral_extent(profile)
+    if not r <= extent:
+        raise ValueError(f"footprint r={r!r} does not fit inside the lens extent {extent!r}")
+    return r
+
+
 def _cap_height(radius: float, rho: float) -> float:
     # Exact spherical sagitta radius - sqrt(radius^2 - rho^2), written in
     # the conjugate form that avoids cancellation for rho << radius.
@@ -149,7 +159,8 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
 
     The seam geometry is computed once, so a quadrature can call the
     returned function at every node; it does not check that rho lies in
-    [0, lateral_extent(profile)].
+    [0, lateral_extent(profile)].  A footprint wider than the lens is a
+    ValueError.
 
     The imperfection region and the surrounding lens meet continuously on
     the seam circle rho = r; the lens-region offset uses the exact sagitta
@@ -161,7 +172,7 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
     R = profile.R
     if profile.kind is LensKind.PERFECT:
         return lambda rho: a + _cap_height(R, rho)
-    r = _footprint_radius(profile)
+    r = _footprint_in_lens(profile)
     R1, D1 = profile.R1, profile.D1
     seam = _cap_height(R, r)
     if profile.kind is LensKind.BUBBLE:

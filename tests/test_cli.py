@@ -401,6 +401,63 @@ def test_usage_error_prints_one_error_line(capsys, argv):
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, config, refusal", [
+    pytest.param(["fpp", "--a-start", "1um", "--a-stop", "2um"], None,
+                 "error: --a-step is required when --a-stop exceeds --a-start", id="no-step"),
+    pytest.param(["force", "--a-list", "1um"], "profile = foo\nR = 15cm\n",
+                 "error: unknown profile kind 'foo'", id="config-profile"),
+    pytest.param(["force", "--profile", "bubble", "--R", "15cm", "--a-list", "1um"], None,
+                 "error: a bubble profile requires --R1 and --D1", id="no-R1-D1"),
+    pytest.param(["force", "--method", "quadrature", "--R", "15cm", "--a-list", "1um",
+                  "--tol", "1e-3x"], None,
+                 "error: --tol: could not convert string to float: '1e-3x'", id="tol-flag"),
+    pytest.param(["force", "--method", "quadrature", "--R", "15cm", "--a-list", "1um"],
+                 "tol = 1e-3x\n",
+                 "error: --tol: could not convert string to float: '1e-3x'", id="tol-config"),
+    pytest.param(["force", "--method", "quadrature", "--profile", "bubble", "--R", "15cm",
+                  "--R1", "25cm", "--D1", "0.5um", "--D", "1e-9m", "--a-list", "1um"], None,
+                 "error: footprint r=0.0004999997499999375 does not fit inside the lens "
+                 "extent 1.732050804682126e-05", id="quadrature-footprint"),
+    pytest.param(["ratio", "--R", "15cm", "--a-list", "1um"], None,
+                 "error: ratio curves require a bubble or pit profile", id="ratio-perfect"),
+])
+def test_refusal_prints_the_one_error_line_that_names_it(tmp_path, capsys, argv, config,
+                                                          refusal):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [refusal]
+
+
+def test_combine_errors_names_the_budget_key_that_is_missing(tmp_path, capsys):
+    budget = tmp_path / "budget.cfg"
+    budget.write_text("random_error = 0.05\nsystematic_components = 0.19\n", encoding="utf-8")
+    assert main(["combine-errors", "--budget", str(budget)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: budget file {budget} is missing 'variance_of_mean'"]
+
+
+def test_grid_start_alone_is_a_one_point_grid(capsys):
+    assert main(["fpp", "--a-list", "1um"]) == 0
+    listed = capsys.readouterr().out
+    assert main(["fpp", "--a-start", "1um"]) == 0
+    out = capsys.readouterr().out
+    assert out == listed and len(out.splitlines()) == 2
+
+
+def test_ratio_on_an_empty_grid_prints_the_header_only(capsys):
+    assert main(["ratio", "--profile", "pit", "--R", "15cm", "--R1", "12cm", "--D1", "1um",
+                 "--a-start", "2um", "--a-stop", "1um", "--a-step", "1um"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("a_m,ratio\n", "")
+
+
 @pytest.mark.parametrize("stop, step, refusal", [
     # 2e14 points, and a point count that would overflow to inf: both steps
     # lie outside the domain, which is checked first

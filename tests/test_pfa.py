@@ -316,8 +316,13 @@ def test_ratio_curves_are_ordered_and_monotonic():
 
 
 def test_ratio_curve_rejects_perfect_profiles():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ratio curves require a bubble or pit profile"):
         ratio_curve(LensProfile.perfect(R=R_BENCH), BENCH_SEPARATIONS, T_BENCH)
+
+
+@pytest.mark.parametrize("profile", [BUBBLE_WIDE, PIT_CASE])
+def test_ratio_curve_serves_an_empty_grid(profile):
+    assert ratio_curve(profile, [], T_BENCH) == RatioCurve(separations=(), ratios=())
 
 
 @settings(max_examples=100, deadline=None)
@@ -353,14 +358,11 @@ def test_ratio_curve_evaluates_each_distinct_gap_once(kernel_gaps, profile):
 
 def test_ratio_curve_container_validation():
     with pytest.raises(ValueError):
-        RatioCurve(separations=(1.0e-6, 2.0e-6), ratios=(1.0,),
-                   profile=BUBBLE_WIDE)
+        RatioCurve(separations=(1.0e-6, 2.0e-6), ratios=(1.0,))
     with pytest.raises(ValueError):
-        RatioCurve(separations=(2.0e-6, 1.0e-6), ratios=(1.0, 1.1),
-                   profile=BUBBLE_WIDE)
+        RatioCurve(separations=(2.0e-6, 1.0e-6), ratios=(1.0, 1.1))
     with pytest.raises(ValueError):
-        RatioCurve(separations=(1.0e-6, 2.0e-6), ratios=(1.0, -0.5),
-                   profile=BUBBLE_WIDE)
+        RatioCurve(separations=(1.0e-6, 2.0e-6), ratios=(1.0, -0.5))
 
 
 def test_force_result_validation():
@@ -504,14 +506,15 @@ def test_full_refuses_a_bubble_or_pit_on_a_lens_thicker_than_r(profile):
         force(profile, 1.0e-6, T_BENCH, "full")
 
 
+@pytest.mark.parametrize("method", ["full", "quadrature"])
 @pytest.mark.parametrize("profile", [
     LensProfile.bubble(R_BENCH, 1.0, 1.0e-5, D=1.0e-5),   # r = 4.5 mm, extent 1.7 mm
     LensProfile.bubble(1.0e-3, 10.0, 0.9e-6),             # r = 4.2 mm beyond R = 1 mm
     LensProfile.pit(1.0e-3, 0.9e-3, 0.9e-6, D=1.0e-9),    # r = 40 um, extent 1.4 um
 ])
-def test_full_refuses_a_footprint_wider_than_the_lens(profile):
+def test_full_and_quadrature_refuse_a_footprint_wider_than_the_lens(profile, method):
     with pytest.raises(ValueError, match=r"footprint r=.* does not fit inside the lens extent"):
-        force(profile, 1.0e-6, T_BENCH, "full")
+        force(profile, 1.0e-6, T_BENCH, method)
 
 
 def test_fig2_pit_against_the_exact_profile_integral():
