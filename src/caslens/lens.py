@@ -46,9 +46,12 @@ class LensKind(Enum):
 class LensProfile:
     """Lens description: curvature radius R, thickness D, optional defect.
 
-    D defaults to R (a hemisphere) in the factory methods.  R1/D1 are the
-    imperfection curvature radius and depth; both are None on perfect
-    profiles.
+    D defaults to R (a hemisphere) in the factory methods, and D <= R.
+    R1/D1 are the imperfection curvature radius and depth; both are None on
+    perfect profiles.  A bubble or pit needs D1 < 2 R1, so that it has a
+    footprint r = sqrt(2 R1 D1 - D1^2) (else DegenerateImperfectionError),
+    and r must fit inside the lens extent.  Every shape rule is checked here,
+    once; no method that takes a profile checks its shape again.
     """
 
     kind: LensKind
@@ -60,8 +63,10 @@ class LensProfile:
     def __post_init__(self) -> None:
         check_finite("curvature radius R", self.R, LENGTH)
         check_finite("lens thickness D", self.D, LENGTH)
-        if self.D > 2.0 * self.R:
-            raise ValueError(f"lens thickness D={self.D!r} exceeds the sphere 2R")
+        # Beyond R the surface z(rho) is not single-valued, and the lens
+        # extent is R, not sqrt(D (2R - D)).
+        if self.D > self.R:
+            raise ValueError(f"lens thickness D={self.D!r} exceeds R={self.R!r}")
         if self.kind is LensKind.PERFECT:
             if self.R1 is not None or self.D1 is not None:
                 raise ValueError("perfect profiles carry no imperfection parameters")
@@ -76,6 +81,10 @@ class LensProfile:
             )
         if self.kind is LensKind.PIT and self.R1 >= self.R:
             raise ValueError("a pit requires R1 < R")
+        r = _footprint_radius(self)
+        extent = lateral_extent(self)
+        if not r <= extent:
+            raise ValueError(f"footprint r={r!r} does not fit inside the lens extent {extent!r}")
 
     @classmethod
     def perfect(cls, R: float, D: float | None = None) -> "LensProfile":
@@ -137,16 +146,6 @@ def lateral_extent(profile: LensProfile) -> float:
     return math.sqrt(profile.D * (2.0 * profile.R - profile.D))
 
 
-def _footprint_in_lens(profile: LensProfile) -> float:
-    """The footprint radius r of a bubble or pit, or a ValueError unless it
-    fits inside the lens extent: the rule of every height-profile method."""
-    r = _footprint_radius(profile)
-    extent = lateral_extent(profile)
-    if not r <= extent:
-        raise ValueError(f"footprint r={r!r} does not fit inside the lens extent {extent!r}")
-    return r
-
-
 def _cap_height(radius: float, rho: float) -> float:
     # Exact spherical sagitta radius - sqrt(radius^2 - rho^2), written in
     # the conjugate form that avoids cancellation for rho << radius.
@@ -159,20 +158,18 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
 
     The seam geometry is computed once, so a quadrature can call the
     returned function at every node; it does not check that rho lies in
-    [0, lateral_extent(profile)].  A footprint wider than the lens is a
-    ValueError.
+    [0, lateral_extent(profile)].  The profile's D <= R keeps z(rho)
+    single-valued, and its footprint lies inside the lens.
 
     The imperfection region and the surrounding lens meet continuously on
     the seam circle rho = r; the lens-region offset uses the exact sagitta
     R - sqrt(R^2 - r^2) so the two branches agree there to round-off.
     """
     check_finite("closest approach a", a, LENGTH)
-    if profile.D > profile.R:
-        raise ValueError("height profiles are single-valued only for D <= R")
     R = profile.R
     if profile.kind is LensKind.PERFECT:
         return lambda rho: a + _cap_height(R, rho)
-    r = _footprint_in_lens(profile)
+    r = _footprint_radius(profile)
     R1, D1 = profile.R1, profile.D1
     seam = _cap_height(R, r)
     if profile.kind is LensKind.BUBBLE:

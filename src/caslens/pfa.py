@@ -34,8 +34,8 @@ from typing import Iterable
 
 from .exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, QuadratureError,
                          check_finite)
-from .lens import (LensKind, LensProfile, _cap_height, _footprint_in_lens, derive_geometry,
-                   height_function, lateral_extent)
+from .lens import (LensKind, LensProfile, _cap_height, _footprint_radius, height_function,
+                   lateral_extent)
 from .plates import _plate_kernel
 from .quadrature import MIN_REL_TOL, integrate
 
@@ -268,12 +268,12 @@ def force_general(
     _validate_point(a, T, profile.R)
     check_finite("quad_tol", quad_tol, TOLERANCE)
     panel_tol = max(0.1 * quad_tol, MIN_REL_TOL)  # a tenth each; 0.1 * 5e-324 is 0
-    height = height_function(profile, a)  # rejects D > R: z(rho) is single-valued
+    height = height_function(profile, a)  # single-valued, as every profile has D <= R
     extent = lateral_extent(profile)  # >= sqrt(D R) >= 1e-12 m, as D <= R
     if profile.kind is LensKind.PERFECT:
         split = min(math.sqrt(profile.R * a), 0.5 * extent)
     else:
-        split = min(derive_geometry(profile).r, 0.5 * extent)
+        split = min(_footprint_radius(profile), 0.5 * extent)
 
     # P_pp at each gap z <= a + D1 + D, which needs no domain check.
     def inner(rho: float) -> float:
@@ -309,9 +309,9 @@ def force(
     ``method`` (a ForceMethod or its label) defaults to the closed form of
     the profile's kind.  ``quadrature`` and ``full`` serve every kind,
     ``simplified`` perfect lenses, and ``bubble`` and ``pit`` their own
-    kind; any other pairing is a ValueError.  ``full`` on a bubble or pit
-    serves D <= R, as the height profile does, and a footprint inside the
-    lens.  ``tol`` reaches only ``quadrature``; None keeps its default.
+    kind; any other pairing is a ValueError.  The profile's shape was
+    checked when it was built, so no method refuses it for its shape.
+    ``tol`` reaches only ``quadrature``; None keeps its default.
     """
     kind, R, D, R1, D1 = profile.kind, profile.R, profile.D, profile.R1, profile.D1
     perfect = kind is LensKind.PERFECT
@@ -321,9 +321,7 @@ def force(
         return force_general(profile, a, T, quad_tol=DEFAULT_QUAD_TOL if tol is None else tol)
     if method is ForceMethod.PERFECT_FULL:
         _validate_point(a, T, R)
-        if not perfect and D > R:
-            raise ValueError(f"lens thickness D={D!r} exceeds R={R!r}: full serves D <= R here")
-        r = 0.0 if perfect else _footprint_in_lens(profile)  # a perfect lens: no footprint
+        r = 0.0 if perfect else _footprint_radius(profile)  # a perfect lens: no footprint
         terms = _terms(kind, R, R1, D1, D, _cap_height(R, r))
         return ForceResult(-_sum(terms, T, a, ("lens thickness D", D)), True, method, a, T)
     if method is not closed:

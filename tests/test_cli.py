@@ -420,6 +420,18 @@ def test_usage_error_prints_one_error_line(capsys, argv):
                  "extent 1.732050804682126e-05", id="quadrature-footprint"),
     pytest.param(["ratio", "--R", "15cm", "--a-list", "1um"], None,
                  "error: ratio curves require a bubble or pit profile", id="ratio-perfect"),
+    # Shape refusals of LensProfile, which every command meets.
+    pytest.param(["validate-lens", "--profile", "pit", "--R", "1mm", "--R1", "0.9mm",
+                  "--D1", "0.9um", "--D", "1e-9m"], None,
+                 "error: footprint r=4.023916003099469e-05 does not fit inside the lens "
+                 "extent 1.4142132088196602e-06", id="validate-lens-footprint"),
+    pytest.param(["ratio", "--profile", "bubble", "--R", "15cm", "--R1", "0.1um",
+                  "--D1", "1um", "--a-list", "1um,2um"], None,
+                 "error: R1=1e-07, D1=1e-06 give no footprint (requires D1 < 2 R1)",
+                 id="ratio-no-footprint"),
+    pytest.param(["force", "--method", "full", "--R", "15cm", "--D", "20cm",
+                  "--a-list", "1um"], None,
+                 "error: lens thickness D=0.2 exceeds R=0.15", id="full-D-beyond-R"),
 ])
 def test_refusal_prints_the_one_error_line_that_names_it(tmp_path, capsys, argv, config,
                                                           refusal):

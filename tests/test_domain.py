@@ -43,7 +43,7 @@ from test_boundary import ENTRIES
 
 LENGTH_MIN, LENGTH_MAX = LENGTH[:2]
 TEMPERATURE_MAX = TEMPERATURE[1]
-#: The largest gap pfa forms: a + D with D <= 2R.
+#: Above the largest gap pfa forms, a + D1 + D with D <= R.
 GAP_MAX = 3.0 * LENGTH_MAX
 #: The quadrature entries, the only ones that may raise NumericalError.
 QUADRATURE = ("force-quadrature", "force_general")
@@ -97,7 +97,7 @@ def test_oracle_prefactor_stays_in_the_float_range(z, T):
     (LENGTH_MIN, LENGTH_MIN), (LENGTH_MAX, LENGTH_MIN), (LENGTH_MAX, LENGTH_MAX),
 ])
 def test_every_quadrature_lens_has_lateral_extent(R, D):
-    # force_general serves D <= R, so D (2R - D) >= D R >= 1e-24 m^2: its
+    # Every profile has D <= R, so D (2R - D) >= D R >= 1e-24 m^2: its
     # "no lateral extent" refusal has nothing left to refuse.
     profile = LensProfile.perfect(R, D)
     assert lateral_extent(profile) >= LENGTH_MIN
@@ -205,7 +205,7 @@ def _check_result(result, args):
     elif isinstance(result, SpecReport):
         assert len(result.checks) == 2
     elif isinstance(result, LensProfile):
-        assert LENGTH_MIN <= result.R <= LENGTH_MAX and 0.0 < result.D <= 2.0 * result.R
+        assert LENGTH_MIN <= result.R <= LENGTH_MAX and 0.0 < result.D <= result.R
     elif isinstance(result, list):  # build_grid
         assert len(result) <= 100_000
         # The end point is included within 1e-9 of a step.

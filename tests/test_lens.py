@@ -1,6 +1,8 @@
 """Lens surface profiles, imperfection geometry and optical-limit checks."""
 
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -82,9 +84,27 @@ def test_derive_geometry_rejects_perfect():
 
 
 def test_degenerate_imperfection_rejected():
-    profile = LensProfile.bubble(R=0.1, R1=2.0e-5, D1=5.0e-5)
     with pytest.raises(DegenerateImperfectionError):
-        derive_geometry(profile)
+        LensProfile.bubble(R=0.1, R1=2.0e-5, D1=5.0e-5)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(LensProfile.perfect, id="perfect"),
+    pytest.param(partial(LensProfile.bubble, R1=0.25, D1=0.5e-6), id="bubble"),
+    pytest.param(partial(LensProfile.pit, R1=0.12, D1=1.0e-6), id="pit"),
+])
+def test_every_constructor_serves_d_equal_to_r_and_refuses_the_next_float(build):
+    assert build(R=BENCHMARK_R, D=BENCHMARK_R).D == BENCHMARK_R
+    beyond = math.nextafter(BENCHMARK_R, math.inf)
+    with pytest.raises(ValueError, match=re.escape(f"lens thickness D={beyond!r} exceeds R=0.15")):
+        build(R=BENCHMARK_R, D=beyond)
+
+
+@pytest.mark.parametrize("build", [LensProfile.bubble, LensProfile.pit])
+@pytest.mark.parametrize("D1", [2.0e-6, 3.0e-6])  # D1 = 2 R1 and beyond it
+def test_a_footprintless_bubble_or_pit_is_refused_when_built(build, D1):
+    with pytest.raises(DegenerateImperfectionError, match="give no footprint"):
+        build(R=BENCHMARK_R, R1=1.0e-6, D1=D1)
 
 
 def test_height_at_axis_and_seam():
@@ -147,9 +167,8 @@ def test_height_domain_errors():
     profile = LensProfile.perfect(R=0.15)
     with pytest.raises(ValueError):
         height_function(profile, 0.0)
-    tall = LensProfile.perfect(R=0.15, D=0.25)
-    with pytest.raises(ValueError):
-        height_function(tall, 1.0e-6)
+    with pytest.raises(ValueError):   # tall: refused when built, before height_function
+        LensProfile.perfect(R=0.15, D=0.25)
 
 
 def test_lateral_extent():
@@ -162,7 +181,7 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         LensProfile.perfect(R=0.0)
     with pytest.raises(ValueError):
-        LensProfile.perfect(R=0.15, D=0.31)     # beyond the full sphere
+        LensProfile.perfect(R=0.15, D=0.31)     # beyond R, and the full sphere
     with pytest.raises(ValueError):
         LensProfile.perfect(R=0.15, D=0.0)
     with pytest.raises(ValueError):

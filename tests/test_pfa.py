@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from caslens import (
     LensKind,
     LensProfile,
     RatioCurve,
+    derive_geometry,
     force,
     force_bubble,
     force_general,
@@ -23,6 +25,7 @@ from caslens import (
     free_energy_pp,
     lateral_extent,
     ratio_curve,
+    validate_spec,
 )
 from caslens.exceptions import QuadratureError
 from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN
@@ -224,9 +227,9 @@ def test_quadrature_refuses_a_lens_without_lateral_extent():
 
 
 def test_quadrature_requires_single_valued_surface():
-    profile = LensProfile.perfect(R=R_BENCH, D=0.2)
+    # D > R is refused when the profile is built, before any method runs.
     with pytest.raises(ValueError):
-        force_general(profile, 1.0e-6, T_BENCH)
+        LensProfile.perfect(R=R_BENCH, D=0.2)
 
 
 @pytest.mark.parametrize("call", [
@@ -497,24 +500,58 @@ def test_full_matches_quadrature_on_every_kind(kind, R, a, T, D1, footprint):
     assert abs(full / quadrature - 1.0) <= 1.0e-10
 
 
+# In this test and the next each ``profile`` is a builder: the lens is
+# refused when it is built, so no method is reached.
 @pytest.mark.parametrize("profile", [
-    LensProfile.bubble(R_BENCH, 0.25, 0.5e-6, D=0.2),
-    LensProfile.pit(R_BENCH, 0.12, 1.0e-6, D=0.2),
+    partial(LensProfile.bubble, R_BENCH, 0.25, 0.5e-6, D=0.2),
+    partial(LensProfile.pit, R_BENCH, 0.12, 1.0e-6, D=0.2),
 ])
 def test_full_refuses_a_bubble_or_pit_on_a_lens_thicker_than_r(profile):
     with pytest.raises(ValueError, match=r"D=0.2 exceeds R=0.15"):
-        force(profile, 1.0e-6, T_BENCH, "full")
+        force(profile(), 1.0e-6, T_BENCH, "full")
 
 
 @pytest.mark.parametrize("method", ["full", "quadrature"])
 @pytest.mark.parametrize("profile", [
-    LensProfile.bubble(R_BENCH, 1.0, 1.0e-5, D=1.0e-5),   # r = 4.5 mm, extent 1.7 mm
-    LensProfile.bubble(1.0e-3, 10.0, 0.9e-6),             # r = 4.2 mm beyond R = 1 mm
-    LensProfile.pit(1.0e-3, 0.9e-3, 0.9e-6, D=1.0e-9),    # r = 40 um, extent 1.4 um
+    partial(LensProfile.bubble, R_BENCH, 1.0, 1.0e-5, D=1.0e-5),  # r = 4.5 mm, extent 1.7 mm
+    partial(LensProfile.bubble, 1.0e-3, 10.0, 0.9e-6),            # r = 4.2 mm beyond R = 1 mm
+    partial(LensProfile.pit, 1.0e-3, 0.9e-3, 0.9e-6, D=1.0e-9),   # r = 40 um, extent 1.4 um
 ])
 def test_full_and_quadrature_refuse_a_footprint_wider_than_the_lens(profile, method):
     with pytest.raises(ValueError, match=r"footprint r=.* does not fit inside the lens extent"):
-        force(profile, 1.0e-6, T_BENCH, method)
+        force(profile(), 1.0e-6, T_BENCH, method)
+
+
+#: The thickness at which the lens extent sqrt(D (2R - D)) is the Fig. 2 pit's
+#: footprint r = sqrt(2 R1 D1 - D1^2) over 0.99.
+_D_PIT_FILLS_099 = R_BENCH - math.sqrt(R_BENCH**2 - (2.0 * 0.12 * 1.0e-6 - 1.0e-12) / 0.99**2)
+
+#: Profiles on the edges of the shape rules: D = R, a footprint of 0.99 of the
+#: lens extent, and D1 just under 2 R1.
+EDGE_PROFILES = {
+    "perfect-D=R": LensProfile.perfect(R_BENCH, R_BENCH),
+    "bubble-D=R": LensProfile.bubble(R_BENCH, 0.25, 0.5e-6, D=R_BENCH),
+    "pit-D=R": LensProfile.pit(R_BENCH, 0.12, 1.0e-6, D=R_BENCH),
+    "pit-footprint-0.99-of-extent": LensProfile.pit(R_BENCH, 0.12, 1.0e-6, D=_D_PIT_FILLS_099),
+    "bubble-D1-under-2R1": LensProfile.bubble(R_BENCH, 1.0e-6, 1.999999e-6),
+    "pit-D1-under-2R1": LensProfile.pit(R_BENCH, 1.0e-6, 1.999999e-6),
+}
+
+
+@pytest.mark.parametrize("profile", EDGE_PROFILES.values(), ids=EDGE_PROFILES.keys())
+def test_no_method_refuses_a_profile_that_builds(profile):
+    # Every shape rule is checked when the profile is built, so each method
+    # that serves the profile's kind returns a value at 1 um and 300 K.
+    a, T = 1.0e-6, 300.0
+    perfect = profile.kind is LensKind.PERFECT
+    closed = "simplified" if perfect else profile.kind.value
+    for method in ("full", "quadrature", closed):
+        result = force(profile, a, T, method)
+        assert 0.0 < result.magnitude < math.inf and result.attractive
+    assert validate_spec(profile).checks
+    if not perfect:
+        assert 0.0 < derive_geometry(profile).r <= lateral_extent(profile)
+        assert ratio_curve(profile, [a], T).ratios[0] > 0.0
 
 
 def test_fig2_pit_against_the_exact_profile_integral():
