@@ -1,0 +1,146 @@
+#!/usr/bin/env bash
+# The command-line checks of a plain install (no extras).  Each block is one
+# check, headed by an echo of its title.  Run it with `caslens` on PATH, from
+# any directory: it writes err.txt, run.cfg, budget.cfg, from-config.csv
+# and from-flags.csv there, and finds README.md and the golden table next to
+# itself.  Any failing command ends the run with its exit status.
+set -e
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+
+echo "== Closed-form command, byte-identical to the golden table"
+caslens reproduce-fig2 | cmp - "$root/perfbench/golden/reproduce-fig2.csv"
+
+echo "== Quadrature command"
+caslens force --method quadrature --profile bubble --R 15cm \
+  --R1 0.25m --D1 0.5um --a-list 1um
+
+echo "== Low-temperature force, served by the dual series"
+caslens force --profile perfect --R 15cm --a-list 0.1um --T 1
+
+echo "== Exact perfect-lens PFA by parts, at the default temperature"
+caslens force --method full --R 15cm --a-list 1um,3um
+
+echo "== Exact perfect-lens PFA by parts, at zero temperature"
+caslens force --method full --R 15cm --a-list 1um,3um --T 0
+
+echo "== Exact PFA of a thin perfect lens; a lens too thin for it is refused"
+caslens force --method full --R 15cm --D 1cm --a-list 1um,3um
+code=0
+caslens force --method full --R 15cm --D 1e-12m --a-list 1um,3um \
+  2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+if grep -q Traceback err.txt; then exit 1; fi
+
+echo "== Exact bubble PFA by parts, at the default temperature"
+caslens force --method full --profile bubble --R 15cm \
+  --R1 0.25m --D1 0.5um --a-list 1um,3um
+
+echo "== Exact pit PFA by parts, at zero temperature"
+caslens force --method full --profile pit --R 15cm \
+  --R1 0.12m --D1 1um --a-list 1um,3um --T 0
+
+echo "== A --config file gives the flags' output; a-list wins over a_list"
+printf 'a_list = 2um\na-list = 1um,3um\nT = 77\n' > run.cfg
+caslens fpp --config run.cfg > from-config.csv
+caslens fpp --a-list 1um,3um --T 77 > from-flags.csv
+cmp from-config.csv from-flags.csv
+
+echo "== README Library example"
+python - "$root/README.md" <<'PY'
+import pathlib, re, sys
+text = pathlib.Path(sys.argv[1]).read_text(encoding="utf-8")
+library = text.split("## Library", 1)[1]
+code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+exec(compile(code, "README.md", "exec"), {})
+PY
+
+echo "== A grid of more than 100000 points is refused with exit 1"
+code=0
+caslens fpp --a-start 1um --a-stop 3um --a-step 1e-12 2> err.txt || code=$?
+test "$code" -eq 1
+grep -q 100000 err.txt
+
+echo "== A length outside the served domain is refused with one error line"
+code=0
+caslens validate-lens --profile bubble --R 1.7976931348623157e308m \
+  --R1 3um --D1 1e300 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+if grep -q Traceback err.txt; then exit 1; fi
+
+echo "== A closed bubble form refuses a separation not small against R"
+code=0
+caslens force --profile bubble --R 15cm --R1 25cm --D1 0.5um \
+  --a-list 20cm 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+if grep -q Traceback err.txt; then exit 1; fi
+
+echo "== Quadrature refuses a footprint wider than the lens, and a bad --tol, with one error line"
+code=0
+caslens force --method quadrature --profile bubble --R 1mm --R1 10m \
+  --D1 0.9um --a-list 1um 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+grep -q footprint err.txt
+if grep -q Traceback err.txt; then exit 1; fi
+code=0
+caslens force --method quadrature --R 15cm --a-list 1um --tol 1e-3x \
+  2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+grep -q -e --tol err.txt
+if grep -q Traceback err.txt; then exit 1; fi
+
+echo "== Every command meets the lens shape refusals, with one error line"
+code=0
+caslens validate-lens --profile pit --R 1mm --R1 0.9mm --D1 0.9um \
+  --D 1e-9m 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+grep -q footprint err.txt
+if grep -q Traceback err.txt; then exit 1; fi
+code=0
+caslens ratio --profile bubble --R 15cm --R1 0.1um --D1 1um \
+  --a-list 1um,2um 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+grep -q 'no footprint' err.txt
+if grep -q Traceback err.txt; then exit 1; fi
+code=0
+caslens force --method full --R 15cm --D 20cm --a-list 1um 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+grep -q 'D=0.2' err.txt
+if grep -q Traceback err.txt; then exit 1; fi
+
+echo "== A budget without a positive scatter of the mean is refused with one error line"
+printf 'random_error = 0.05\nsystematic_components = 0.19\nvariance_of_mean = 0\n' > budget.cfg
+code=0
+caslens combine-errors --budget budget.cfg 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+grep -q 'scatter of the mean' err.txt
+if grep -q Traceback err.txt; then exit 1; fi
+
+echo "== A cap deeper than a hemisphere is refused with one error line"
+code=0
+caslens validate-lens --profile bubble --R 15cm --R1 1um --D1 1.5um \
+  2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+grep -q 'D1=1.5e-06' err.txt
+if grep -q Traceback err.txt; then exit 1; fi
+
+echo "== All checks passed"

@@ -32,10 +32,8 @@ from .metrology import (
     CombinedError,
     ErrorBudget,
     Rule,
-    combine_systematic,
     load_k_table,
     load_q_table,
-    select_rule,
     total_error,
 )
 from .pfa import (
@@ -84,10 +82,8 @@ __all__ = [
     "CombinedError",
     "ErrorBudget",
     "Rule",
-    "combine_systematic",
     "load_k_table",
     "load_q_table",
-    "select_rule",
     "total_error",
     "ForceMethod",
     "ForceResult",

@@ -210,8 +210,8 @@ def _cmd_combine_errors(args: argparse.Namespace) -> int:
         number("systematic_components", item)
         for item in settings["systematic_components"].split(",") if item.strip()
     )
-    k_table = load_k_table(args.k_table, beta) if args.k_table else {}
-    q_table = load_q_table(args.q_table, beta) if args.q_table else {}
+    k_table = load_k_table(args.k_table) if args.k_table else {}
+    q_table = load_q_table(args.q_table) if args.q_table else {}
     budget = ErrorBudget(
         random_error=number("random_error", settings["random_error"]),
         systematic_components=components,

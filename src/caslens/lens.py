@@ -50,8 +50,9 @@ class LensProfile:
     R1/D1 are the imperfection curvature radius and depth; both are None on
     perfect profiles.  A bubble or pit needs D1 < 2 R1, so that it has a
     footprint r = sqrt(2 R1 D1 - D1^2) (else DegenerateImperfectionError),
-    and r must fit inside the lens extent.  Every shape rule is checked here,
-    once; no method that takes a profile checks its shape again.
+    r must fit inside the lens extent, and its cap is at most a hemisphere
+    (D1 <= R1).  Every shape rule is checked here, once; no method that takes
+    a profile checks its shape again.
     """
 
     kind: LensKind
@@ -85,6 +86,12 @@ class LensProfile:
         extent = lateral_extent(self)
         if not r <= extent:
             raise ValueError(f"footprint r={r!r} does not fit inside the lens extent {extent!r}")
+        # A cap deeper than a hemisphere makes z(rho) multi-valued at the seam.
+        if self.D1 > self.R1:
+            raise ValueError(
+                f"imperfection depth D1={self.D1!r} exceeds R1={self.R1!r}: "
+                "the cap is deeper than a hemisphere"
+            )
 
     @classmethod
     def perfect(cls, R: float, D: float | None = None) -> "LensProfile":
@@ -158,8 +165,8 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
 
     The seam geometry is computed once, so a quadrature can call the
     returned function at every node; it does not check that rho lies in
-    [0, lateral_extent(profile)].  The profile's D <= R keeps z(rho)
-    single-valued, and its footprint lies inside the lens.
+    [0, lateral_extent(profile)].  The profile's D <= R and D1 <= R1 keep
+    z(rho) single-valued, and its footprint lies inside the lens.
 
     The imperfection region and the surrounding lens meet continuously on
     the seam circle rho = r; the lens-region offset uses the exact sagitta

@@ -4,9 +4,10 @@ Systematic components at confidence beta combine as
 
     delta_s = min( sum_j |c_j|,  k_beta(J) * sqrt(sum_j c_j^2) )
 
-where k_beta(J) is a tabulated coefficient for J components (the shipped
-table carries the single attested entry k_0.95(3) = 1.1).  The random and
-systematic parts then merge by a regime rule driven by
+where k_beta(J) is a tabulated coefficient for J >= 2 components (the
+shipped table carries the single attested entry k_0.95(3) = 1.1).  A single
+component is its own systematic error, delta_s = c, and needs no k.  The
+random and systematic parts then merge by a regime rule driven by
 
     r = delta_s / s_mean
 
@@ -18,8 +19,10 @@ with s_mean the scatter (standard deviation) of the mean measurement:
 
 The boundaries r = 0.8 and r = 8 belong to the blend regime.  Blend
 coefficients q_beta(r) are user-supplied through a table; at beta = 0.95
-they lie in [0.71, 0.81].  No coefficient is ever interpolated or guessed:
-a lookup miss is a configuration error.
+they lie in [0.71, 0.81].  A budget has one beta, so its tables map J -> k
+and r -> q at that beta.  No coefficient is ever interpolated or guessed:
+a k miss refuses the budget when it is built, and a q miss is a
+configuration error when the blend regime needs it.
 
 All magnitudes here are in the caller's units (absolute or relative alike);
 every rule is homogeneous of degree one, so the choice does not matter as
@@ -33,7 +36,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .config import _lines
 from .exceptions import DegenerateBudgetError, TableLookupError
@@ -46,7 +49,7 @@ SYSTEMATIC_DOMINATES_ABOVE = 8.0
 Q_RANGE_95 = (0.71, 0.81)
 
 #: The one attested combination coefficient: three components at 95%.
-DEFAULT_K_TABLE: Mapping[tuple[int, float], float] = {(3, 0.95): 1.1}
+DEFAULT_K_TABLE: Mapping[int, float] = {3: 1.1}
 
 #: Relative slack when matching a tabulated r value.
 _R_MATCH_RTOL = 1.0e-6
@@ -58,39 +61,6 @@ class Rule(Enum):
     BLEND = "blend"
 
 
-def combine_systematic(components: Sequence[float], k: float) -> float:
-    """Combine systematic error components at a common confidence level.
-
-    Returns min(sum, k * root-sum-square).
-    """
-    values = [float(c) for c in components]
-    if not values:
-        raise ValueError("at least one systematic component is required")
-    if any(v < 0.0 for v in values):
-        raise ValueError("systematic components must be non-negative")
-    if not k > 0.0:
-        raise ValueError(f"combination coefficient k must be positive, got {k!r}")
-    linear = sum(values)
-    quadratic = k * math.sqrt(sum(v * v for v in values))
-    return min(linear, quadratic)
-
-
-def select_rule(delta_s: float, s_mean: float) -> tuple[float, Rule]:
-    """Pick the combination regime from r = delta_s / s_mean."""
-    if delta_s < 0.0:
-        raise ValueError("systematic error must be non-negative")
-    if not s_mean > 0.0:
-        raise DegenerateBudgetError(
-            f"scatter of the mean must be positive, got {s_mean!r}"
-        )
-    r = delta_s / s_mean
-    if r < RANDOM_DOMINATES_BELOW:
-        return r, Rule.RANDOM_DOMINATES
-    if r > SYSTEMATIC_DOMINATES_ABOVE:
-        return r, Rule.SYSTEMATIC_DOMINATES
-    return r, Rule.BLEND
-
-
 @dataclass(frozen=True)
 class ErrorBudget:
     """Inputs for a total-error combination.
@@ -99,17 +69,21 @@ class ErrorBudget:
     systematic_components  individual systematic magnitudes
     variance_of_mean       scatter s_mean of the mean measurement
     beta                   confidence level shared by all entries
-    k_table                (J, beta) -> k lookup; the attested default
-                           entry (3, 0.95) -> 1.1 is always present
-    q_table                (r, beta) -> q lookup for the blend regime
+    k_table                J -> k at beta; at beta = 0.95 the attested
+                           default entry 3 -> 1.1 is always present
+    q_table                r -> q at beta, for the blend regime
+
+    Every rule of a budget is checked here, once: a budget of J >= 2
+    components needs k for J, and the scatter of the mean is positive.
+    ``total_error`` only combines.
     """
 
     random_error: float
     systematic_components: tuple[float, ...]
     variance_of_mean: float
     beta: float = 0.95
-    k_table: Mapping[tuple[int, float], float] = field(default_factory=dict)
-    q_table: Mapping[tuple[float, float], float] = field(default_factory=dict)
+    k_table: Mapping[int, float] = field(default_factory=dict)
+    q_table: Mapping[float, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.random_error < math.inf:
@@ -128,23 +102,33 @@ class ErrorBudget:
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {self.beta!r}")
         object.__setattr__(self, "systematic_components", components)
-        merged = dict(DEFAULT_K_TABLE)
-        merged.update(self.k_table)
-        for (count, beta), k in merged.items():
-            if count < 1 or not 0.0 < k < math.inf:
-                raise ValueError(f"invalid k table entry ({count}, {beta}) -> {k}")
-        object.__setattr__(self, "k_table", merged)
+        k_table = dict(DEFAULT_K_TABLE) if self.beta == 0.95 else {}
+        k_table.update(self.k_table)
+        for j, k in k_table.items():
+            if j < 1 or not 0.0 < k < math.inf:
+                raise ValueError(f"invalid k table entry ({j}, {self.beta}) -> {k}")
+        object.__setattr__(self, "k_table", k_table)
         q_table = dict(self.q_table)
-        for (r, beta), q in q_table.items():
+        for r, q in q_table.items():
             if not 0.0 <= r < math.inf:
                 raise ValueError(f"invalid q table key r={r!r}")
             if not 0.0 < q <= 1.0:
                 raise ValueError(f"blend coefficient q={q!r} outside (0, 1]")
-            if beta == 0.95 and not Q_RANGE_95[0] <= q <= Q_RANGE_95[1]:
+            if self.beta == 0.95 and not Q_RANGE_95[0] <= q <= Q_RANGE_95[1]:
                 raise ValueError(
                     f"q={q!r} at beta=0.95 outside the attested range {Q_RANGE_95}"
                 )
         object.__setattr__(self, "q_table", q_table)
+        count = len(components)
+        if count > 1 and count not in k_table:
+            raise TableLookupError(
+                f"no combination coefficient k for J={count} at beta={self.beta}; "
+                "provide one in the k table"
+            )
+        if not self.variance_of_mean > 0.0:
+            raise DegenerateBudgetError(
+                f"scatter of the mean must be positive, got {self.variance_of_mean!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -170,14 +154,10 @@ class CombinedError:
             )
 
 
-def _lookup_q(
-    q_table: Mapping[tuple[float, float], float], r: float, beta: float
-) -> float:
+def _lookup_q(q_table: Mapping[float, float], r: float, beta: float) -> float:
     best = None
     best_gap = math.inf
-    for (r_entry, beta_entry), q in q_table.items():
-        if beta_entry != beta:
-            continue
+    for r_entry, q in q_table.items():
         gap = abs(r_entry - r)
         if gap < best_gap:
             best, best_gap = q, gap
@@ -197,26 +177,20 @@ def total_error(budget: ErrorBudget, measured_value: float | None = None) -> Com
     """
     delta_r = budget.random_error
     components = budget.systematic_components
-    count = len(components)
-    if count == 1:
-        # min(c, k*c) = c for any tabulated k >= 1; no coefficient needed.
+    if len(components) == 1:
+        # One component is its own systematic error; the rule takes no k.
         delta_s = components[0]
     else:
-        key = (count, budget.beta)
-        if key not in budget.k_table:
-            raise TableLookupError(
-                f"no combination coefficient k for J={count} at beta={budget.beta}; "
-                "provide one in the k table"
-            )
-        delta_s = combine_systematic(components, budget.k_table[key])
-    r, rule = select_rule(delta_s, budget.variance_of_mean)
-    if rule is Rule.RANDOM_DOMINATES:
-        total = delta_r
-    elif rule is Rule.SYSTEMATIC_DOMINATES:
-        total = delta_s
+        k = budget.k_table[len(components)]
+        delta_s = min(sum(components), k * math.sqrt(sum(c * c for c in components)))
+    r = delta_s / budget.variance_of_mean
+    if r < RANDOM_DOMINATES_BELOW:
+        rule, total = Rule.RANDOM_DOMINATES, delta_r
+    elif r > SYSTEMATIC_DOMINATES_ABOVE:
+        rule, total = Rule.SYSTEMATIC_DOMINATES, delta_s
     else:
-        q = _lookup_q(budget.q_table, r, budget.beta)
-        total = q * (delta_r + delta_s)
+        rule = Rule.BLEND
+        total = _lookup_q(budget.q_table, r, budget.beta) * (delta_r + delta_s)
     relative = None
     if measured_value is not None:
         if measured_value == 0.0:
@@ -247,17 +221,17 @@ def _read_two_column_table(path: str | os.PathLike[str]) -> list[tuple[float, fl
     return rows
 
 
-def load_k_table(path: str | os.PathLike[str], beta: float) -> dict[tuple[int, float], float]:
+def load_k_table(path: str | os.PathLike[str]) -> dict[int, float]:
     """Read a two-column (J, k) text table for a single confidence level."""
     table = {}
     for j_value, k in _read_two_column_table(path):
         if not (math.isfinite(j_value) and j_value >= 1 and j_value == int(j_value)):
             raise ValueError(f"{path}: component count must be a positive integer, "
                              f"got {j_value!r}")
-        table[(int(j_value), beta)] = k
+        table[int(j_value)] = k
     return table
 
 
-def load_q_table(path: str | os.PathLike[str], beta: float) -> dict[tuple[float, float], float]:
+def load_q_table(path: str | os.PathLike[str]) -> dict[float, float]:
     """Read a two-column (r, q) text table for a single confidence level."""
-    return {(r, beta): q for r, q in _read_two_column_table(path)}
+    return dict(_read_two_column_table(path))

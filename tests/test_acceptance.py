@@ -19,7 +19,6 @@ from caslens import (
     LensProfile,
     Rule,
     ZETA3,
-    combine_systematic,
     derive_geometry,
     force,
     force_bubble,
@@ -29,7 +28,6 @@ from caslens import (
     free_energy_pp,
     free_energy_pp_oracle,
     pressure_pp,
-    select_rule,
     tau,
     total_error,
 )
@@ -260,16 +258,25 @@ def test_acceptance_7_error_combination_rules(capsys):
         count = int(rng.integers(1, 7))
         components = list(rng.uniform(0.01, 10.0, count))
         k = float(rng.uniform(1.0, 2.0))
-        combined = combine_systematic(components, k)
+        # A scatter of 1e300 keeps r in the random regime, which needs no q.
+        combined = total_error(ErrorBudget(
+            random_error=0.0, systematic_components=tuple(components),
+            variance_of_mean=1.0e300, k_table={count: k})).systematic_error
         linear = sum(abs(c) for c in components)
         quadratic = k * math.sqrt(sum(c * c for c in components))
         assert combined == min(linear, quadratic)
 
+    def rule_at(r):
+        # A one-component budget at s_mean = 1 whose q table holds r.
+        return total_error(ErrorBudget(random_error=0.0, systematic_components=(r,),
+                                       variance_of_mean=1.0,
+                                       q_table={r: 0.75})).rule_applied
+
     # Both regime edges belong to the blend regime.
-    assert select_rule(0.8, 1.0)[1] is Rule.BLEND
-    assert select_rule(8.0, 1.0)[1] is Rule.BLEND
-    assert select_rule(0.79, 1.0)[1] is Rule.RANDOM_DOMINATES
-    assert select_rule(8.01, 1.0)[1] is Rule.SYSTEMATIC_DOMINATES
+    assert rule_at(0.8) is Rule.BLEND
+    assert rule_at(8.0) is Rule.BLEND
+    assert rule_at(0.79) is Rule.RANDOM_DOMINATES
+    assert rule_at(8.01) is Rule.SYSTEMATIC_DOMINATES
 
     # Worked budget: a single dominant systematic component produces a
     # 0.19% relative total on a measured value of 100.

@@ -432,6 +432,14 @@ def test_usage_error_prints_one_error_line(capsys, argv):
     pytest.param(["force", "--method", "full", "--R", "15cm", "--D", "20cm",
                   "--a-list", "1um"], None,
                  "error: lens thickness D=0.2 exceeds R=0.15", id="full-D-beyond-R"),
+    # A cap deeper than a hemisphere, refused by every command that builds it.
+    *(pytest.param([command, "--profile", profile, "--R", "15cm", "--R1", "1um",
+                    "--D1", "1.5um", *extra], None,
+                   "error: imperfection depth D1=1.5e-06 exceeds R1=1e-06: the cap is "
+                   "deeper than a hemisphere", id=f"{command}-{profile}-deep-cap")
+      for command, extra in (("validate-lens", []), ("ratio", ["--a-list", "1um"]),
+                             ("force", ["--method", "full", "--a-list", "1um"]))
+      for profile in ("bubble", "pit")),
 ])
 def test_refusal_prints_the_one_error_line_that_names_it(tmp_path, capsys, argv, config,
                                                           refusal):

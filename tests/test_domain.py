@@ -314,7 +314,7 @@ def test_coefficient_tables_load_or_refuse(rows):
         path.write_text("".join(f"{key} {value!r}\n" for key, value in rows), encoding="utf-8")
         for loader in (load_k_table, load_q_table):
             _call_within_the_domain_contract(loader.__name__, loader,
-                                             {"path": path, "beta": 0.95})
+                                             {"path": path})
 
 
 @pytest.mark.parametrize("T", [0.0, TEMPERATURE_MAX])

@@ -107,6 +107,16 @@ def test_a_footprintless_bubble_or_pit_is_refused_when_built(build, D1):
         build(R=BENCHMARK_R, R1=1.0e-6, D1=D1)
 
 
+@pytest.mark.parametrize("build", [LensProfile.bubble, LensProfile.pit])
+def test_every_cap_constructor_serves_a_hemisphere_and_refuses_the_next_float(build):
+    R1 = 1.0e-6
+    assert build(R=BENCHMARK_R, R1=R1, D1=R1).D1 == R1
+    beyond = math.nextafter(R1, math.inf)
+    with pytest.raises(ValueError, match=re.escape(f"imperfection depth D1={beyond!r} "
+                                                   f"exceeds R1={R1!r}")):
+        build(R=BENCHMARK_R, R1=R1, D1=beyond)
+
+
 def test_height_at_axis_and_seam():
     a = 1.0e-6
     assert height_function(LensProfile.perfect(R=0.15), a)(0.0) == a

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from caslens import pfa
@@ -500,6 +500,92 @@ def test_full_matches_quadrature_on_every_kind(kind, R, a, T, D1, footprint):
     assert abs(full / quadrature - 1.0) <= 1.0e-10
 
 
+def _assert_full_matches_quadrature(profile, a, T):
+    try:
+        full = force(profile, a, T, "full").value
+    except ValueError as exc:
+        # ``full`` refuses, by name, a lens so thin against a that its terms
+        # cancel past its 1e-9 bound; that is a refusal, not a value.
+        assert "is too thin against" in str(exc)
+        return
+    quadrature = force_general(profile, a, T, quad_tol=1.0e-12).value
+    assert abs(full / quadrature - 1.0) <= 1.0e-10
+
+
+@st.composite
+def _built_lenses(draw):
+    """A profile that builds, with R, D <= R, R1 and D1 <= R1 log-uniform over
+    the length domain [1e-12, 1e5] m, a gap a log-uniform in [1e-12, 1e-4] m
+    and T in {0, 300} K."""
+    kind = draw(st.sampled_from(LensKind))
+    exponent_R = draw(st.floats(min_value=-12.0, max_value=5.0))
+    R = 10.0 ** exponent_R
+    D = min(R, 10.0 ** draw(st.floats(min_value=-12.0, max_value=exponent_R)))
+    try:
+        if kind is LensKind.PERFECT:
+            profile = LensProfile.perfect(R, D)
+        else:
+            exponent_R1 = draw(st.floats(min_value=-12.0, max_value=5.0))
+            R1 = 10.0 ** exponent_R1
+            D1 = min(R1, 10.0 ** draw(st.floats(min_value=-12.0, max_value=exponent_R1)))
+            profile = LensProfile(kind, R, D, R1, D1)
+    except ValueError:
+        assume(False)
+    a = 10.0 ** draw(st.floats(min_value=-12.0, max_value=-4.0))
+    return profile, a, draw(st.sampled_from((0.0, 300.0)))
+
+
+#: Built profiles on which ``full`` and ``quadrature`` at quad_tol 1e-12 do not
+#: agree within 1e-10 (FOUND in CHANGES.md).  The first is ROADMAP item 3's
+#: named exemption, a QuadratureError on a pit at a <= 3e-12 m; the others lie
+#: outside it.  On the 3e-5 pit a 40-digit mpmath integral of the T = 0
+#: profile matches ``full`` to 1e-16, so there ``quadrature`` returns a wrong
+#: value without a QuadratureError.  On the thin perfect lens ``full`` is
+#: within its own 1e-9 bound but not within 1e-10.
+FULL_QUADRATURE_DISAGREEMENTS = {
+    "pit-a-1.5e-12-no-convergence": (
+        LensProfile.pit(0.5, 6.5e-4, 7.6e-6, D=6.3e-3), 1.5e-12, 0.0, QuadratureError),
+    "pit-a-1.1e-10-no-convergence": (
+        LensProfile.pit(2.0, 3.9e-2, 6.2e-4, D=7.9e-2), 1.1e-10, 0.0, QuadratureError),
+    "pit-a-4.2e-9-no-convergence": (
+        LensProfile.pit(8.9e4, 14.0, 6.2e-3, D=8.4e-3), 4.2e-9, 300.0, QuadratureError),
+    "bubble-a-1.3e-12-no-convergence": (
+        LensProfile.bubble(1.0e-4, 12.0, 1.2e-11, D=5.0e-5), 1.3e-12, 300.0, QuadratureError),
+    "pit-a-1.5e-12-3e-5-off": (
+        LensProfile.pit(27483.651602469054, 0.05935436814461252, 0.012473720207729471,
+                        D=6.051968791172717e-08),
+        1.4662585461929144e-12, 0.0, AssertionError),
+    "thin-perfect-1.2e-10-off": (
+        LensProfile.perfect(4.24015317948679, 6.85613430194986e-11),
+        2.8230128620302183e-05, 300.0, AssertionError),
+}
+
+
+@pytest.mark.parametrize("profile, a, T", [
+    pytest.param(*case[:3], id=name,
+                 marks=pytest.mark.xfail(raises=case[3], strict=True,
+                                         reason="FOUND in CHANGES.md: full and quadrature "
+                                                "disagree on a profile that builds"))
+    for name, case in FULL_QUADRATURE_DISAGREEMENTS.items()
+])
+def test_full_matches_quadrature_where_they_are_found_to_disagree(profile, a, T):
+    _assert_full_matches_quadrature(profile, a, T)
+
+
+# The property fails on each row above, so it is a strict xfail that starts
+# from the silent 3e-5 pit; it passes once every row passes.
+@pytest.mark.xfail(raises=(AssertionError, QuadratureError), strict=True,
+                   reason="FOUND in CHANGES.md: full and quadrature disagree on "
+                          "FULL_QUADRATURE_DISAGREEMENTS")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          report_multiple_bugs=False,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@example(case=FULL_QUADRATURE_DISAGREEMENTS["pit-a-1.5e-12-3e-5-off"][:3])
+@given(case=_built_lenses())
+def test_full_matches_quadrature_on_every_profile_that_builds(case):
+    _assert_full_matches_quadrature(*case)
+
+
 # In this test and the next each ``profile`` is a builder: the lens is
 # refused when it is built, so no method is reached.
 @pytest.mark.parametrize("profile", [
@@ -527,14 +613,14 @@ def test_full_and_quadrature_refuse_a_footprint_wider_than_the_lens(profile, met
 _D_PIT_FILLS_099 = R_BENCH - math.sqrt(R_BENCH**2 - (2.0 * 0.12 * 1.0e-6 - 1.0e-12) / 0.99**2)
 
 #: Profiles on the edges of the shape rules: D = R, a footprint of 0.99 of the
-#: lens extent, and D1 just under 2 R1.
+#: lens extent, and a hemispherical cap (D1 = R1).
 EDGE_PROFILES = {
     "perfect-D=R": LensProfile.perfect(R_BENCH, R_BENCH),
     "bubble-D=R": LensProfile.bubble(R_BENCH, 0.25, 0.5e-6, D=R_BENCH),
     "pit-D=R": LensProfile.pit(R_BENCH, 0.12, 1.0e-6, D=R_BENCH),
     "pit-footprint-0.99-of-extent": LensProfile.pit(R_BENCH, 0.12, 1.0e-6, D=_D_PIT_FILLS_099),
-    "bubble-D1-under-2R1": LensProfile.bubble(R_BENCH, 1.0e-6, 1.999999e-6),
-    "pit-D1-under-2R1": LensProfile.pit(R_BENCH, 1.0e-6, 1.999999e-6),
+    "bubble-D1=R1": LensProfile.bubble(R_BENCH, 1.0e-6, 1.0e-6),
+    "pit-D1=R1": LensProfile.pit(R_BENCH, 1.0e-6, 1.0e-6),
 }
 
 
