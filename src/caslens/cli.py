@@ -20,8 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import config as cfg
 from .exceptions import TEMPERATURE, TOLERANCE, NumericalError, check_finite
@@ -63,6 +62,8 @@ def _write_csv(path: str, header: str, rows: Iterable[Sequence[str]]) -> None:
     if path == "-":
         sys.stdout.write(payload)
         return
+    import tempfile  # only a file output needs it, so stdout runs skip its import
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".caslens-", suffix=".tmp")
     try:

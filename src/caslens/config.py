@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from typing import Iterator
+from collections.abc import Iterator
 
 from .exceptions import LENGTH, check_finite
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, its served domain and the one check on it.
+"""Exception types shared across the package, its served domain and the one
+check on it, and the base of its frozen records.
 
 Domain errors (bad arguments, inconsistent configuration) raise plain
 ValueError subclasses and map to the CLI usage exit code.  Numerical
@@ -54,3 +55,40 @@ def check_finite(name: str, x: float, domain: tuple) -> float:
     if low <= x <= high or (zero and x == 0.0):
         return x
     raise ValueError(f"{name}={x!r} lies outside the served range {text}")
+
+
+class _Record:
+    """Base of the package's frozen records.
+
+    A record lists its fields, in order, as ``__slots__`` and stores them in
+    ``__init__`` with ``object.__setattr__``; assigning or deleting a field
+    afterwards raises AttributeError.  Records compare equal (only to the same
+    class) and hash as their field tuple, print every field, and copy and
+    pickle by calling the class on their fields, so its rules run again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

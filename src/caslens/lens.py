@@ -18,11 +18,10 @@ lens over that footprint follow from the chord relations
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable
 
-from .exceptions import LENGTH, TOLERANCE, DegenerateImperfectionError, check_finite
+from .exceptions import LENGTH, TOLERANCE, DegenerateImperfectionError, _Record, check_finite
 
 #: Optical-surface quality bounds on the imperfection footprint diameter 2r.
 FOOTPRINT_DIAMETER_MIN = 30.0e-6
@@ -42,8 +41,7 @@ class LensKind(Enum):
     PIT = "pit"
 
 
-@dataclass(frozen=True)
-class LensProfile:
+class LensProfile(_Record):
     """Lens description: curvature radius R, thickness D, optional defect.
 
     D defaults to R (a hemisphere) in the factory methods, and D <= R.
@@ -52,44 +50,48 @@ class LensProfile:
     footprint r = sqrt(2 R1 D1 - D1^2) (else DegenerateImperfectionError),
     r must fit inside the lens extent, and its cap is at most a hemisphere
     (D1 <= R1).  Every shape rule is checked here, once; no method that takes
-    a profile checks its shape again.
+    a profile checks its shape again.  ``kind`` must be a LensKind member.
     """
 
-    kind: LensKind
-    R: float
-    D: float
-    R1: float | None = None
-    D1: float | None = None
+    __slots__ = ("kind", "R", "D", "R1", "D1")
 
-    def __post_init__(self) -> None:
-        check_finite("curvature radius R", self.R, LENGTH)
-        check_finite("lens thickness D", self.D, LENGTH)
+    def __init__(self, kind: LensKind, R: float, D: float,
+                 R1: float | None = None, D1: float | None = None) -> None:
+        if not isinstance(kind, LensKind):
+            raise ValueError(f"lens kind must be a LensKind, got {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "R1", R1)
+        object.__setattr__(self, "D1", D1)
+        check_finite("curvature radius R", R, LENGTH)
+        check_finite("lens thickness D", D, LENGTH)
         # Beyond R the surface z(rho) is not single-valued, and the lens
         # extent is R, not sqrt(D (2R - D)).
-        if self.D > self.R:
-            raise ValueError(f"lens thickness D={self.D!r} exceeds R={self.R!r}")
-        if self.kind is LensKind.PERFECT:
-            if self.R1 is not None or self.D1 is not None:
+        if D > R:
+            raise ValueError(f"lens thickness D={D!r} exceeds R={R!r}")
+        if kind is LensKind.PERFECT:
+            if R1 is not None or D1 is not None:
                 raise ValueError("perfect profiles carry no imperfection parameters")
             return
-        if self.R1 is None or self.D1 is None:
-            raise ValueError(f"{self.kind.value} profiles require R1 and D1")
-        check_finite("imperfection radius R1", self.R1, LENGTH)
-        check_finite("imperfection depth D1", self.D1, LENGTH)
-        if self.D1 >= _MAX_DEPTH_FRACTION * self.R:
+        if R1 is None or D1 is None:
+            raise ValueError(f"{kind.value} profiles require R1 and D1")
+        check_finite("imperfection radius R1", R1, LENGTH)
+        check_finite("imperfection depth D1", D1, LENGTH)
+        if D1 >= _MAX_DEPTH_FRACTION * R:
             raise ValueError(
-                f"imperfection depth D1={self.D1!r} is not small against R={self.R!r}"
+                f"imperfection depth D1={D1!r} is not small against R={R!r}"
             )
-        if self.kind is LensKind.PIT and self.R1 >= self.R:
+        if kind is LensKind.PIT and R1 >= R:
             raise ValueError("a pit requires R1 < R")
         r = _footprint_radius(self)
         extent = lateral_extent(self)
         if not r <= extent:
             raise ValueError(f"footprint r={r!r} does not fit inside the lens extent {extent!r}")
         # A cap deeper than a hemisphere makes z(rho) multi-valued at the seam.
-        if self.D1 > self.R1:
+        if D1 > R1:
             raise ValueError(
-                f"imperfection depth D1={self.D1!r} exceeds R1={self.R1!r}: "
+                f"imperfection depth D1={D1!r} exceeds R1={R1!r}: "
                 "the cap is deeper than a hemisphere"
             )
 
@@ -108,8 +110,7 @@ class LensProfile:
         return cls(LensKind.PIT, R, R if D is None else D, R1, D1)
 
 
-@dataclass(frozen=True)
-class ImperfectionGeometry:
+class ImperfectionGeometry(_Record):
     """Derived defect geometry.
 
     r        footprint radius on the lens surface, m
@@ -118,10 +119,13 @@ class ImperfectionGeometry:
     spec_ok  True when 2r falls inside the optical-quality window
     """
 
-    r: float
-    d: float
-    offset: float
-    spec_ok: bool
+    __slots__ = ("r", "d", "offset", "spec_ok")
+
+    def __init__(self, r: float, d: float, offset: float, spec_ok: bool) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "spec_ok", spec_ok)
 
 
 def _footprint_radius(profile: LensProfile) -> float:
@@ -197,18 +201,22 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
     return pit
 
 
-@dataclass(frozen=True)
-class SpecCheck:
-    name: str
-    passed: bool
-    detail: str
+class SpecCheck(_Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class SpecReport:
+class SpecReport(_Record):
     """Outcome of checking a profile against the optical/metrology limits."""
 
-    checks: tuple[SpecCheck, ...]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[SpecCheck, ...]) -> None:
+        object.__setattr__(self, "checks", checks)
 
     @property
     def all_passed(self) -> bool:

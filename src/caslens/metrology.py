@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from enum import Enum
-from typing import Mapping
 
 from .config import _lines
-from .exceptions import DegenerateBudgetError, TableLookupError
+from .exceptions import DegenerateBudgetError, TableLookupError, _Record
 
 #: Regime thresholds for r = delta_s / s_mean; both edges fall in the blend.
 RANDOM_DOMINATES_BELOW = 0.8
@@ -61,8 +60,7 @@ class Rule(Enum):
     BLEND = "blend"
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(_Record):
     """Inputs for a total-error combination.
 
     random_error           total random error delta_r at confidence beta
@@ -73,84 +71,90 @@ class ErrorBudget:
                            default entry 3 -> 1.1 is always present
     q_table                r -> q at beta, for the blend regime
 
+    A table left as None is empty; the budget keeps its own copy of each.
     Every rule of a budget is checked here, once: a budget of J >= 2
     components needs k for J, and the scatter of the mean is positive.
     ``total_error`` only combines.
     """
 
-    random_error: float
-    systematic_components: tuple[float, ...]
-    variance_of_mean: float
-    beta: float = 0.95
-    k_table: Mapping[int, float] = field(default_factory=dict)
-    q_table: Mapping[float, float] = field(default_factory=dict)
+    __slots__ = ("random_error", "systematic_components", "variance_of_mean", "beta",
+                 "k_table", "q_table")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.random_error < math.inf:
+    def __init__(self, random_error: float, systematic_components: tuple[float, ...],
+                 variance_of_mean: float, beta: float = 0.95,
+                 k_table: Mapping[int, float] | None = None,
+                 q_table: Mapping[float, float] | None = None) -> None:
+        object.__setattr__(self, "random_error", random_error)
+        object.__setattr__(self, "variance_of_mean", variance_of_mean)
+        object.__setattr__(self, "beta", beta)
+        if not 0.0 <= random_error < math.inf:
             raise ValueError(
-                f"random error must be non-negative and finite, got {self.random_error!r}"
+                f"random error must be non-negative and finite, got {random_error!r}"
             )
-        components = tuple(float(c) for c in self.systematic_components)
+        components = tuple(float(c) for c in systematic_components)
         if not components:
             raise ValueError("at least one systematic component is required")
         if not all(0.0 <= c < math.inf for c in components):
             raise ValueError("systematic components must be non-negative and finite")
-        if not math.isfinite(self.variance_of_mean):
+        if not math.isfinite(variance_of_mean):
             raise ValueError(
-                f"scatter of the mean must be finite, got {self.variance_of_mean!r}"
+                f"scatter of the mean must be finite, got {variance_of_mean!r}"
             )
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"confidence level must be in (0, 1), got {self.beta!r}")
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"confidence level must be in (0, 1), got {beta!r}")
         object.__setattr__(self, "systematic_components", components)
-        k_table = dict(DEFAULT_K_TABLE) if self.beta == 0.95 else {}
-        k_table.update(self.k_table)
-        for j, k in k_table.items():
+        merged_k = dict(DEFAULT_K_TABLE) if beta == 0.95 else {}
+        if k_table is not None:
+            merged_k.update(k_table)
+        for j, k in merged_k.items():
             if j < 1 or not 0.0 < k < math.inf:
-                raise ValueError(f"invalid k table entry ({j}, {self.beta}) -> {k}")
-        object.__setattr__(self, "k_table", k_table)
-        q_table = dict(self.q_table)
-        for r, q in q_table.items():
+                raise ValueError(f"invalid k table entry ({j}, {beta}) -> {k}")
+        object.__setattr__(self, "k_table", merged_k)
+        own_q = {} if q_table is None else dict(q_table)
+        for r, q in own_q.items():
             if not 0.0 <= r < math.inf:
                 raise ValueError(f"invalid q table key r={r!r}")
             if not 0.0 < q <= 1.0:
                 raise ValueError(f"blend coefficient q={q!r} outside (0, 1]")
-            if self.beta == 0.95 and not Q_RANGE_95[0] <= q <= Q_RANGE_95[1]:
+            if beta == 0.95 and not Q_RANGE_95[0] <= q <= Q_RANGE_95[1]:
                 raise ValueError(
                     f"q={q!r} at beta=0.95 outside the attested range {Q_RANGE_95}"
                 )
-        object.__setattr__(self, "q_table", q_table)
+        object.__setattr__(self, "q_table", own_q)
         count = len(components)
-        if count > 1 and count not in k_table:
+        if count > 1 and count not in merged_k:
             raise TableLookupError(
-                f"no combination coefficient k for J={count} at beta={self.beta}; "
+                f"no combination coefficient k for J={count} at beta={beta}; "
                 "provide one in the k table"
             )
-        if not self.variance_of_mean > 0.0:
+        if not variance_of_mean > 0.0:
             raise DegenerateBudgetError(
-                f"scatter of the mean must be positive, got {self.variance_of_mean!r}"
+                f"scatter of the mean must be positive, got {variance_of_mean!r}"
             )
 
 
-@dataclass(frozen=True)
-class CombinedError:
+class CombinedError(_Record):
     """Total error delta_t with the applied regime and its ingredients."""
 
-    total: float
-    relative: float | None
-    rule_applied: Rule
-    r: float
-    random_error: float
-    systematic_error: float
+    __slots__ = ("total", "relative", "rule_applied", "r", "random_error",
+                 "systematic_error")
 
-    def __post_init__(self) -> None:
-        for name, value in (("r", self.r), ("delta_t", self.total),
-                            ("delta_t_relative", self.relative or 0.0)):
+    def __init__(self, total: float, relative: float | None, rule_applied: Rule, r: float,
+                 random_error: float, systematic_error: float) -> None:
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "relative", relative)
+        object.__setattr__(self, "rule_applied", rule_applied)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "random_error", random_error)
+        object.__setattr__(self, "systematic_error", systematic_error)
+        for name, value in (("r", r), ("delta_t", total),
+                            ("delta_t_relative", relative or 0.0)):
             if not -math.inf < value < math.inf:
                 raise ValueError(f"{name} = {value!r}: the error budget leaves the float range")
-        cap = self.random_error + self.systematic_error
-        if self.total > cap:
+        cap = random_error + systematic_error
+        if total > cap:
             raise ValueError(
-                f"combined error {self.total!r} exceeds delta_r + delta_s = {cap!r}"
+                f"combined error {total!r} exceeds delta_r + delta_s = {cap!r}"
             )
 
 

@@ -28,12 +28,11 @@ integrates the height profile numerically, is the cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable
 
 from .exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, QuadratureError,
-                         check_finite)
+                         _Record, check_finite)
 from .lens import (LensKind, LensProfile, _cap_height, _footprint_radius, height_function,
                    lateral_extent)
 from .plates import _plate_kernel
@@ -102,21 +101,21 @@ class ForceResult:
         return -self.magnitude if self.attractive else self.magnitude
 
 
-@dataclass(frozen=True)
-class RatioCurve:
+class RatioCurve(_Record):
     """Force ratio imperfect/perfect over a separation grid, which may be empty."""
 
-    separations: tuple[float, ...]
-    ratios: tuple[float, ...]
+    __slots__ = ("separations", "ratios")
 
-    def __post_init__(self) -> None:
-        if len(self.separations) != len(self.ratios):
+    def __init__(self, separations: tuple[float, ...], ratios: tuple[float, ...]) -> None:
+        object.__setattr__(self, "separations", separations)
+        object.__setattr__(self, "ratios", ratios)
+        if len(separations) != len(ratios):
             raise ValueError("separations and ratios must have equal length")
-        if any(not s > 0.0 for s in self.separations):
+        if any(not s > 0.0 for s in separations):
             raise ValueError("separations must be positive")
-        if any(b <= prev for prev, b in zip(self.separations, self.separations[1:])):
+        if any(b <= prev for prev, b in zip(separations, separations[1:])):
             raise ValueError("separations must be strictly increasing")
-        if any(not ratio > 0.0 for ratio in self.ratios):
+        if any(not ratio > 0.0 for ratio in ratios):
             raise ValueError("force ratios must be strictly positive")
 
 

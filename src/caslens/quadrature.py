@@ -19,8 +19,8 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from collections.abc import Callable
 from operator import mul
-from typing import Callable
 
 from .exceptions import TOLERANCE, QuadratureError, check_finite
 

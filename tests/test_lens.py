@@ -209,6 +209,23 @@ def test_profile_validation():
     LensProfile.bubble(R=0.15, R1=0.05, D1=1.0e-6)
 
 
+@pytest.mark.parametrize("args", [
+    ("perfect", 0.15, 0.15),
+    ("bubble", 0.15, 0.15, 0.25, 0.5e-6),
+    ("pit", 0.15, 0.15, 0.2, 1.0e-6),       # the factory refuses it: R1 >= R
+    (None, 0.15, 0.15),
+], ids=["perfect", "bubble", "pit", "None"])
+def test_a_kind_that_is_not_a_lens_kind_is_refused(args):
+    with pytest.raises(ValueError, match=re.escape(repr(args[0]))):
+        LensProfile(*args)
+
+
+def test_the_factories_build_their_kind():
+    assert LensProfile.perfect(0.15).kind is LensKind.PERFECT
+    assert LensProfile.bubble(0.15, 0.25, 0.5e-6).kind is LensKind.BUBBLE
+    assert LensProfile.pit(0.15, 0.12, 1.0e-6).kind is LensKind.PIT
+
+
 def test_validate_spec_passes_benchmark_cases():
     for profile in (BUBBLE_WIDE, BUBBLE_NARROW, PIT_CASE):
         report = validate_spec(profile)
