@@ -143,4 +143,14 @@ test "$(grep -c '^error: ' err.txt)" -eq 1
 grep -q 'D1=1.5e-06' err.txt
 if grep -q Traceback err.txt; then exit 1; fi
 
+echo "== A zero --delta-R is refused with one error line that names the flag"
+code=0
+caslens validate-lens --profile pit --R 15cm --R1 0.12m --D1 1um \
+  --delta-R 0 2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 1
+test "$(grep -c '^error: ' err.txt)" -eq 1
+grep -q -e --delta-R err.txt
+if grep -q Traceback err.txt; then exit 1; fi
+
 echo "== All checks passed"

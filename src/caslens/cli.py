@@ -237,8 +237,9 @@ def _cmd_combine_errors(args: argparse.Namespace) -> int:
 
 def _cmd_validate_lens(args: argparse.Namespace) -> int:
     profile = _profile(args)
-    report = validate_spec(profile, DEFAULT_CURVATURE_TOLERANCE if args.delta_R is None
-                           else cfg.parse_length(args.delta_R))
+    tolerance = (DEFAULT_CURVATURE_TOLERANCE if args.delta_R is None
+                 else check_finite("--delta-R", cfg.parse_length(args.delta_R), TOLERANCE))
+    report = validate_spec(profile, tolerance)
     if profile.kind is not LensKind.PERFECT:
         geometry = derive_geometry(profile)
         print(f"footprint radius r = {geometry.r:.6e} m")

@@ -1,10 +1,13 @@
 """Exception types shared across the package, its served domain and the one
-check on it, and the base of its frozen records.
+check on it, and the bases of its records.
 
 Domain errors (bad arguments, inconsistent configuration) raise plain
 ValueError subclasses and map to the CLI usage exit code.  Numerical
 failures raise NumericalError subclasses and map to the numerical-failure
 exit code, so a truncated sum or quadrature is never silently accepted.
+
+Records list their fields as ``__slots__``: ``_Fields`` compares, prints,
+copies and pickles them, and ``_Record`` also stores and freezes them.
 """
 
 from __future__ import annotations
@@ -57,14 +60,12 @@ def check_finite(name: str, x: float, domain: tuple) -> float:
     raise ValueError(f"{name}={x!r} lies outside the served range {text}")
 
 
-class _Record:
-    """Base of the package's frozen records.
+class _Fields:
+    """Base of every record: its ``__slots__`` are its fields, in order.
 
-    A record lists its fields, in order, as ``__slots__`` and stores them in
-    ``__init__`` with ``object.__setattr__``; assigning or deleting a field
-    afterwards raises AttributeError.  Records compare equal (only to the same
-    class) and hash as their field tuple, print every field, and copy and
-    pickle by calling the class on their fields, so its rules run again.
+    A record compares equal only to the same class, field by field, prints
+    every field, and copies and pickles through its constructor, so its rules
+    run again.  On this base alone it is mutable and unhashable.
     """
 
     __slots__ = ()
@@ -77,15 +78,26 @@ class _Record:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self) -> int:
-        return hash(self._values())
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
         return (self.__class__, self._values())
+
+
+class _Record(_Fields):
+    """Base of the frozen records: ``__init__`` calls ``_store`` once, a field
+    cannot be assigned or deleted afterwards, and a record hashes as its fields."""
+
+    __slots__ = ()
+
+    def _store(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

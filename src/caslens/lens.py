@@ -59,11 +59,7 @@ class LensProfile(_Record):
                  R1: float | None = None, D1: float | None = None) -> None:
         if not isinstance(kind, LensKind):
             raise ValueError(f"lens kind must be a LensKind, got {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "R1", R1)
-        object.__setattr__(self, "D1", D1)
+        self._store(kind, R, D, R1, D1)
         check_finite("curvature radius R", R, LENGTH)
         check_finite("lens thickness D", D, LENGTH)
         # Beyond R the surface z(rho) is not single-valued, and the lens
@@ -122,10 +118,7 @@ class ImperfectionGeometry(_Record):
     __slots__ = ("r", "d", "offset", "spec_ok")
 
     def __init__(self, r: float, d: float, offset: float, spec_ok: bool) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "spec_ok", spec_ok)
+        self._store(r, d, offset, spec_ok)
 
 
 def _footprint_radius(profile: LensProfile) -> float:
@@ -205,9 +198,7 @@ class SpecCheck(_Record):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
+        self._store(name, passed, detail)
 
 
 class SpecReport(_Record):
@@ -216,7 +207,7 @@ class SpecReport(_Record):
     __slots__ = ("checks",)
 
     def __init__(self, checks: tuple[SpecCheck, ...]) -> None:
-        object.__setattr__(self, "checks", checks)
+        self._store(checks)
 
     @property
     def all_passed(self) -> bool:

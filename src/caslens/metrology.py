@@ -84,9 +84,6 @@ class ErrorBudget(_Record):
                  variance_of_mean: float, beta: float = 0.95,
                  k_table: Mapping[int, float] | None = None,
                  q_table: Mapping[float, float] | None = None) -> None:
-        object.__setattr__(self, "random_error", random_error)
-        object.__setattr__(self, "variance_of_mean", variance_of_mean)
-        object.__setattr__(self, "beta", beta)
         if not 0.0 <= random_error < math.inf:
             raise ValueError(
                 f"random error must be non-negative and finite, got {random_error!r}"
@@ -102,14 +99,12 @@ class ErrorBudget(_Record):
             )
         if not 0.0 < beta < 1.0:
             raise ValueError(f"confidence level must be in (0, 1), got {beta!r}")
-        object.__setattr__(self, "systematic_components", components)
         merged_k = dict(DEFAULT_K_TABLE) if beta == 0.95 else {}
         if k_table is not None:
             merged_k.update(k_table)
         for j, k in merged_k.items():
             if j < 1 or not 0.0 < k < math.inf:
                 raise ValueError(f"invalid k table entry ({j}, {beta}) -> {k}")
-        object.__setattr__(self, "k_table", merged_k)
         own_q = {} if q_table is None else dict(q_table)
         for r, q in own_q.items():
             if not 0.0 <= r < math.inf:
@@ -120,7 +115,7 @@ class ErrorBudget(_Record):
                 raise ValueError(
                     f"q={q!r} at beta=0.95 outside the attested range {Q_RANGE_95}"
                 )
-        object.__setattr__(self, "q_table", own_q)
+        self._store(random_error, components, variance_of_mean, beta, merged_k, own_q)
         count = len(components)
         if count > 1 and count not in merged_k:
             raise TableLookupError(
@@ -141,12 +136,7 @@ class CombinedError(_Record):
 
     def __init__(self, total: float, relative: float | None, rule_applied: Rule, r: float,
                  random_error: float, systematic_error: float) -> None:
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "relative", relative)
-        object.__setattr__(self, "rule_applied", rule_applied)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "random_error", random_error)
-        object.__setattr__(self, "systematic_error", systematic_error)
+        self._store(total, relative, rule_applied, r, random_error, systematic_error)
         for name, value in (("r", r), ("delta_t", total),
                             ("delta_t_relative", relative or 0.0)):
             if not -math.inf < value < math.inf:

@@ -32,7 +32,7 @@ from collections.abc import Iterable
 from enum import Enum
 
 from .exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, QuadratureError,
-                         _Record, check_finite)
+                         _Fields, _Record, check_finite)
 from .lens import (LensKind, LensProfile, _cap_height, _footprint_radius, height_function,
                    lateral_extent)
 from .plates import _plate_kernel
@@ -63,12 +63,12 @@ class ForceMethod(Enum):
     PIT = "pit"
 
 
-class ForceResult:
+class ForceResult(_Fields):
     """Plate-lens force at one separation.
 
     The magnitude is reported positive with an explicit attraction flag;
     ``value`` gives the signed force (negative when attractive).  A plain
-    record: fields compare equal field by field and are not frozen.
+    record, built on every force call: not frozen, and unhashable.
     """
 
     __slots__ = ("magnitude", "attractive", "method", "a", "T", "warning")
@@ -84,18 +84,6 @@ class ForceResult:
         self.T = T
         self.warning = warning
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.magnitude, self.attractive, self.method, self.a, self.T, self.warning)
-                == (other.magnitude, other.attractive, other.method, other.a, other.T,
-                    other.warning))
-
-    def __repr__(self) -> str:
-        return (f"ForceResult(magnitude={self.magnitude!r}, attractive={self.attractive!r}, "
-                f"method={self.method!r}, a={self.a!r}, T={self.T!r}, "
-                f"warning={self.warning!r})")
-
     @property
     def value(self) -> float:
         return -self.magnitude if self.attractive else self.magnitude
@@ -107,8 +95,7 @@ class RatioCurve(_Record):
     __slots__ = ("separations", "ratios")
 
     def __init__(self, separations: tuple[float, ...], ratios: tuple[float, ...]) -> None:
-        object.__setattr__(self, "separations", separations)
-        object.__setattr__(self, "ratios", ratios)
+        self._store(separations, ratios)
         if len(separations) != len(ratios):
             raise ValueError("separations and ratios must have equal length")
         if any(not s > 0.0 for s in separations):

@@ -58,7 +58,8 @@ from __future__ import annotations
 import math
 
 from .constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
-from .exceptions import LENGTH, TEMPERATURE, ConvergenceError, QuadratureError, check_finite
+from .exceptions import (LENGTH, TEMPERATURE, ConvergenceError, QuadratureError, _Fields,
+                         check_finite)
 from .quadrature import integrate
 
 #: Riemann zeta(3) (Apery's constant), to full double precision.
@@ -108,7 +109,7 @@ def _check_domain(z: float, T: float) -> None:
     check_finite("temperature", T, TEMPERATURE)
 
 
-class FreeEnergyAreal:
+class FreeEnergyAreal(_Fields):
     """Free energy per unit plate area.
 
     value       J/m^2, negative (attraction) for every valid input
@@ -116,7 +117,7 @@ class FreeEnergyAreal:
                 +inf at T = 0, where that representation degenerates
     terms_used  number of series terms (or thermal-sum indices) evaluated
 
-    A plain record: fields compare equal field by field and are not frozen.
+    A plain record, built on every kernel call: not frozen, and unhashable.
     """
 
     __slots__ = ("value", "bracket", "terms_used")
@@ -131,16 +132,6 @@ class FreeEnergyAreal:
         self.value = value
         self.bracket = bracket
         self.terms_used = terms_used
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.value, self.bracket, self.terms_used)
-                == (other.value, other.bracket, other.terms_used))
-
-    def __repr__(self) -> str:
-        return (f"FreeEnergyAreal(value={self.value!r}, bracket={self.bracket!r}, "
-                f"terms_used={self.terms_used!r})")
 
 
 def _moments(a: float) -> tuple[float, float, float, int]:

@@ -105,11 +105,16 @@ def integrate(
 ) -> tuple[float, float, int]:
     """Integral of f over [a, b] by adaptive 21-point Gauss-Kronrod.
 
-    ``b`` may be ``math.inf``.  ``rel_tol`` must be positive and finite
+    ``a`` must be finite and ``b`` finite or ``math.inf``: a NaN or infinite
+    start, or a NaN or -inf end, is a ValueError naming the range, raised
+    before any panel runs.  ``rel_tol`` must be positive and finite
     (ValueError otherwise) and is raised to MIN_REL_TOL.  Returns (value,
     absolute error estimate, evaluations of f).  Raises QuadratureError
     when LIMIT subintervals do not reach the tolerance.
     """
+    if not (-math.inf < a < math.inf and -math.inf < b <= math.inf):
+        raise ValueError(f"integration range [{a!r}, {b!r}] needs a finite start "
+                         "and a finite or +inf end")
     rel_tol = max(check_finite("rel_tol", rel_tol, TOLERANCE), MIN_REL_TOL)
     g, lo, hi = f, a, b
     if b == math.inf:

@@ -414,6 +414,14 @@ def test_usage_error_prints_one_error_line(capsys, argv):
     pytest.param(["force", "--method", "quadrature", "--R", "15cm", "--a-list", "1um"],
                  "tol = 1e-3x\n",
                  "error: --tol: could not convert string to float: '1e-3x'", id="tol-config"),
+    pytest.param(["validate-lens", "--profile", "pit", "--R", "15cm", "--R1", "0.12m",
+                  "--D1", "1um", "--delta-R", "0"], None,
+                 "error: --delta-R=0.0 lies outside the served range (0, inf)",
+                 id="delta-R-flag"),
+    pytest.param(["validate-lens", "--profile", "pit", "--R", "15cm", "--R1", "0.12m",
+                  "--D1", "1um"], "delta-R = 0\n",
+                 "error: --delta-R=0.0 lies outside the served range (0, inf)",
+                 id="delta-R-config"),
     pytest.param(["force", "--method", "quadrature", "--profile", "bubble", "--R", "15cm",
                   "--R1", "25cm", "--D1", "0.5um", "--D", "1e-9m", "--a-list", "1um"], None,
                  "error: footprint r=0.0004999997499999375 does not fit inside the lens "

@@ -124,3 +124,13 @@ def test_polynomials_up_to_degree_19_take_one_panel():
 def test_half_infinite_range():
     value, _, _ = integrate(lambda y: math.exp(-y), 2.0, math.inf, rel_tol=1.0e-12)
     assert abs(value / math.exp(-2.0) - 1.0) <= 1.0e-12
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, -math.inf), (math.inf, math.inf)],
+                         ids=["nan-start", "minus-inf-end", "inf-start"])
+def test_a_bad_range_is_refused_before_any_panel_runs(lo, hi):
+    calls = []
+    with pytest.raises(ValueError, match=r"integration range \[") as refusal:
+        integrate(calls.append, lo, hi, rel_tol=1.0e-9)
+    assert f"[{lo!r}, {hi!r}]" in str(refusal.value)
+    assert calls == []

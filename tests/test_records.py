@@ -1,5 +1,6 @@
-"""The record contract shared by the seven frozen records: keyword
-construction, field-by-field ==, repr and hash, frozenness, copy and pickle."""
+"""The record contract shared by all nine records: keyword construction,
+field-by-field ==, repr, copy and pickle; the seven frozen records also hash
+and refuse assignment, and the two result records stay plain."""
 
 import copy
 import pickle
@@ -9,6 +10,9 @@ import pytest
 from caslens import (
     CombinedError,
     ErrorBudget,
+    ForceMethod,
+    ForceResult,
+    FreeEnergyAreal,
     ImperfectionGeometry,
     LensKind,
     LensProfile,
@@ -17,6 +21,7 @@ from caslens import (
     SpecCheck,
     SpecReport,
 )
+from caslens.exceptions import _Record
 
 #: (class, keyword arguments, the repr it prints), one row per record.
 RECORDS = [
@@ -40,8 +45,22 @@ RECORDS = [
      "RatioCurve(separations=(1e-06, 2e-06), ratios=(0.5, 1.25))"),
 ]
 
+#: The same for the two result records, which are plain: not frozen, unhashable.
+RESULTS = [
+    (ForceResult, dict(magnitude=4.2e-10, attractive=True, method=ForceMethod.BUBBLE,
+                       a=1e-6, T=300.0, warning="w"),
+     "ForceResult(magnitude=4.2e-10, attractive=True, method=<ForceMethod.BUBBLE: 'bubble'>, "
+     "a=1e-06, T=300.0, warning='w')"),
+    (FreeEnergyAreal, dict(value=-1.0, bracket=1.0, terms_used=3),
+     "FreeEnergyAreal(value=-1.0, bracket=1.0, terms_used=3)"),
+]
 
-@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=[row[0].__name__ for row in RECORDS])
+
+def _ids(rows):
+    return [row[0].__name__ for row in rows]
+
+
+@pytest.mark.parametrize("cls, kwargs, text", RECORDS + RESULTS, ids=_ids(RECORDS + RESULTS))
 def test_record_contract(cls, kwargs, text):
     record = cls(**kwargs)
     assert repr(record) == text
@@ -50,17 +69,51 @@ def test_record_contract(cls, kwargs, text):
     # Another class with the same fields never compares equal.
     other = type("Other", (cls,), {})(**kwargs)
     assert record != other and other != record
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert twin.__class__ is cls
+        assert twin == record
+        assert repr(twin) == text
+
+
+@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=_ids(RECORDS))
+def test_frozen_records_refuse_assignment_and_deletion(cls, kwargs, text):
+    record = cls(**kwargs)
     field = next(iter(kwargs))
     with pytest.raises(AttributeError):
         setattr(record, field, kwargs[field])
     with pytest.raises(AttributeError):
         delattr(record, field)
     assert repr(record) == text
-    for twin in (copy.copy(record), copy.deepcopy(record),
-                 pickle.loads(pickle.dumps(record))):
-        assert twin.__class__ is cls
-        assert twin == record
-        assert repr(twin) == text
+
+
+@pytest.mark.parametrize("cls, kwargs, text", RESULTS, ids=_ids(RESULTS))
+def test_result_records_stay_assignable_and_unhashable(cls, kwargs, text):
+    record = cls(**kwargs)
+    with pytest.raises(TypeError):
+        hash(record)
+    field = next(iter(kwargs))
+    setattr(record, field, kwargs[field])
+    assert repr(record) == text
+    # The sign flip breaks the record's invariant; a copy runs the constructor and refuses it.
+    setattr(record, field, -kwargs[field])
+    assert record != cls(**kwargs)
+    with pytest.raises(ValueError):
+        copy.copy(record)
+
+
+class _Pair(_Record):
+    __slots__ = ("first", "second")
+
+    def __init__(self, *values):
+        self._store(*values)
+
+
+def test_store_takes_exactly_one_value_per_field():
+    assert repr(_Pair(1, 2)) == "_Pair(first=1, second=2)"
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="zip"):
+            _Pair(*values)
 
 
 def test_equal_profiles_hash_equal_and_a_budget_is_unhashable():
