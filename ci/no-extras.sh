@@ -1,18 +1,26 @@
 #!/usr/bin/env bash
 # The command-line checks of a plain install (no extras).  Each block is one
 # check, headed by an echo of its title.  Run it with `caslens` on PATH, from
-# any directory: it writes err.txt, run.cfg, budget.cfg, from-config.csv
-# and from-flags.csv there, and finds README.md and the golden table next to
-# itself.  Any failing command ends the run with its exit status.
+# any directory: it writes err.txt, run.cfg, budget.cfg, quadrature.csv,
+# full.csv, from-config.csv and from-flags.csv there, and finds README.md
+# and the golden table next to itself.  Any failing command ends the run
+# with its exit status.
 set -e
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 echo "== Closed-form command, byte-identical to the golden table"
 caslens reproduce-fig2 | cmp - "$root/perfbench/golden/reproduce-fig2.csv"
 
-echo "== Quadrature command"
+echo "== Quadrature command, within 1e-9 of the exact PFA by parts"
 caslens force --method quadrature --profile bubble --R 15cm \
-  --R1 0.25m --D1 0.5um --a-list 1um
+  --R1 0.25m --D1 0.5um --a-list 1um,2um,3um > quadrature.csv
+caslens force --method full --profile bubble --R 15cm \
+  --R1 0.25m --D1 0.5um --a-list 1um,2um,3um > full.csv
+cat quadrature.csv
+paste -d, quadrature.csv full.csv | awk -F, '
+  NR == 1 { ok = $2 == "F_N" && $5 == "F_N"; next }
+  { rel = $2 / $5 - 1; if (rel > 1e-9 || rel < -1e-9) ok = 0; rows++ }
+  END { exit !(ok && rows == 3) }'
 
 echo "== Low-temperature force, served by the dual series"
 caslens force --profile perfect --R 15cm --a-list 0.1um --T 1

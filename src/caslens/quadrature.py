@@ -10,8 +10,13 @@ tolerance.  One panel's error estimate is QUADPACK's
 
 floored at 50 machine epsilons of the panel's integral of |f|; resasc is
 the integral of |f - mean(f)|.  A half-infinite range [a, inf) is mapped
-onto (0, 1] by y = a + (1 - t)/t, and no node falls on t = 0.  There is no
-extrapolation: an endpoint singularity costs more bisections, not accuracy.
+onto (0, 1] by y = a + (1 - t)/t, and no node falls on t = 0.
+
+As in QUADPACK's QAGP, a finite range may be cut at interior breakpoints
+(``points``).  The pieces between them are the initial panels, they count
+toward the LIMIT subintervals, and bisection then works on all of them
+through one heap.  There is still no extrapolation, with or without
+breakpoints: an endpoint singularity costs more bisections, not accuracy.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import heapq
 import math
 import sys
 from collections.abc import Callable
-from operator import mul
+from itertools import repeat
+from operator import mul, sub
 
 from .exceptions import TOLERANCE, QuadratureError, check_finite
 
@@ -87,7 +93,7 @@ def _kronrod21(
     mean = 0.5 * kronrod
     width = abs(half)
     resabs = width * sum(map(mul, _KRONROD, map(abs, values)))
-    resasc = width * sum(w * abs(v - mean) for w, v in zip(_KRONROD, values))
+    resasc = width * sum(map(mul, _KRONROD, map(abs, map(sub, values, repeat(mean)))))
     error = abs((kronrod - gauss) * half)
     if resasc != 0.0 and error != 0.0:
         error = resasc * min(1.0, (200.0 * error / resasc) ** 1.5)
@@ -102,33 +108,53 @@ def integrate(
     b: float,
     *,
     rel_tol: float,
+    points: tuple[float, ...] = (),
 ) -> tuple[float, float, int]:
     """Integral of f over [a, b] by adaptive 21-point Gauss-Kronrod.
 
     ``a`` must be finite and ``b`` finite or ``math.inf``: a NaN or infinite
     start, or a NaN or -inf end, is a ValueError naming the range, raised
     before any panel runs.  ``rel_tol`` must be positive and finite
-    (ValueError otherwise) and is raised to MIN_REL_TOL.  Returns (value,
-    absolute error estimate, evaluations of f).  Raises QuadratureError
-    when LIMIT subintervals do not reach the tolerance.
+    (ValueError otherwise) and is raised to MIN_REL_TOL.  ``points`` are
+    interior breakpoints, finite, strictly increasing and strictly inside
+    (a, b), on a finite range only, and fewer than LIMIT - 1; any other
+    tuple is a ValueError naming it, raised before any panel runs.  The
+    len(points) + 1 pieces are the initial panels and count toward LIMIT;
+    bisection takes the panel with the largest error estimate, whichever
+    piece it lies in, and nothing is extrapolated.  With ``points=()``
+    there is one initial panel, [a, b].  Returns (value, absolute error
+    estimate, evaluations of f).  Raises QuadratureError when LIMIT
+    subintervals do not reach the tolerance.
     """
     if not (-math.inf < a < math.inf and -math.inf < b <= math.inf):
         raise ValueError(f"integration range [{a!r}, {b!r}] needs a finite start "
                          "and a finite or +inf end")
     rel_tol = max(check_finite("rel_tol", rel_tol, TOLERANCE), MIN_REL_TOL)
-    g, lo, hi = f, a, b
+    edges = (a, *points, b)
+    if points and not (b < math.inf and len(points) < LIMIT - 1
+                       and all(lo < hi for lo, hi in zip(edges, edges[1:]))):
+        raise ValueError(f"breakpoints {points!r} must be finite, strictly increasing "
+                         f"and strictly inside ({a!r}, {b!r}), with b finite and "
+                         f"fewer than {LIMIT - 1} of them")
+    g = f
     if b == math.inf:
         def g(t: float) -> float:
             return f(a + (1.0 - t) / t) / (t * t)
 
-        lo, hi = 0.0, 1.0
-    area, errsum = _kronrod21(g, lo, hi)
-    evaluations = 21
+        edges = (0.0, 1.0)
+    # Max-heap on the error estimate: (-error, lo, hi, value).
+    panels = []
+    area, errsum = -0.0, 0.0  # -0.0 + x is x, so one panel's sums are its own
+    for lo, hi in zip(edges, edges[1:]):
+        value, error = _kronrod21(g, lo, hi)
+        area += value
+        errsum += error
+        panels.append((-error, lo, hi, value))
+    evaluations = 21 * len(panels)
     if errsum <= rel_tol * abs(area) or errsum == 0.0:
         return area, errsum, evaluations
-    # Max-heap on the error estimate: (-error, lo, hi, value).
-    panels = [(-errsum, lo, hi, area)]
-    for _ in range(LIMIT - 1):
+    heapq.heapify(panels)
+    for _ in range(LIMIT - len(panels)):
         neg_error, lo, hi, value = heapq.heappop(panels)
         mid = 0.5 * (lo + hi)
         left, left_error = _kronrod21(g, lo, mid)

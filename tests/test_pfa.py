@@ -478,6 +478,27 @@ def test_quadrature_takes_one_kernel_call_per_evaluation(monkeypatch, kernel_gap
     assert len(kernel_gaps) == sum(evaluations) > 0
 
 
+@pytest.mark.parametrize("profile, budget", [
+    (LensProfile.perfect(R_BENCH), 126),
+    (BUBBLE_WIDE, 126),
+    (PIT_CASE, 168),
+])
+def test_quadrature_stays_within_its_kernel_call_budget(kernel_gaps, profile, budget):
+    # With one initial outer panel instead of breakpoints it took 168, 168 and 210.
+    force(profile, 1.0e-6, T_BENCH, "quadrature")
+    assert len(kernel_gaps) <= budget
+
+
+@pytest.mark.parametrize("a", [1.0e-6, 2.0e-6, 3.0e-6])
+@pytest.mark.parametrize("profile", [LensProfile.perfect(R_BENCH), BUBBLE_WIDE, BUBBLE_NARROW,
+                                     PIT_CASE], ids=["perfect", "bubble-wide", "bubble-narrow",
+                                                     "pit"])
+def test_quadrature_matches_full_on_the_fig2_profiles(profile, a):
+    full = force(profile, a, T_BENCH, "full").value
+    quadrature = force(profile, a, T_BENCH, "quadrature").value
+    assert abs(quadrature / full - 1.0) <= 1.0e-12
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(LensKind),

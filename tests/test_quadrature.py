@@ -3,6 +3,9 @@
 The panels are the ones caslens integrates: the inner and log-space outer
 panels of ``force_general`` and the momentum integral of the thermal-sum
 oracle.  On smooth panels the rule must take exactly QUADPACK's bisections.
+``force_general`` starts the outer panel from geometric breakpoints; with
+them it is compared in value with QUADPACK's QAGP, which extrapolates and
+so takes other bisections.
 The log-space separation integral of F_pp is no caslens panel: it is the
 quadrature reference for the closed antiderivative that
 ``force_perfect_full`` uses.
@@ -12,6 +15,7 @@ import math
 
 import pytest
 
+from caslens import pfa
 from caslens import (
     LensKind,
     LensProfile,
@@ -41,10 +45,10 @@ def quad():
     return pytest.importorskip("scipy.integrate").quad
 
 
-def assert_matches_quadpack(quad, f, lo, hi, rel_tol, *, same_count=True):
-    value, error, evaluations = integrate(f, lo, hi, rel_tol=rel_tol)
+def assert_matches_quadpack(quad, f, lo, hi, rel_tol, *, same_count=True, points=()):
+    value, error, evaluations = integrate(f, lo, hi, rel_tol=rel_tol, points=points)
     ref, ref_error, info = quad(f, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=300,
-                                full_output=1)
+                                full_output=1, points=points or None)
     assert abs(value / ref - 1.0) <= 1.0e-12
     assert error <= max(rel_tol, 1.0e-13) * abs(value)
     if same_count:
@@ -53,7 +57,7 @@ def assert_matches_quadpack(quad, f, lo, hi, rel_tol, *, same_count=True):
 
 
 def pfa_panels(profile, a):
-    """force_general's two panels: (integrand, lo, hi)."""
+    """force_general's two panels: (integrand, lo, hi, breakpoints)."""
     height = height_function(profile, a)
     extent = lateral_extent(profile)
     if profile.kind is LensKind.PERFECT:
@@ -68,14 +72,23 @@ def pfa_panels(profile, a):
         rho = min(math.exp(v), extent)
         return rho * rho * pressure_pp(height(rho), T)
 
-    return (inner, 0.0, split), (outer, math.log(split), math.log(extent))
+    lo, hi = math.log(split), math.log(extent)
+    return (inner, 0.0, split, ()), (outer, lo, hi, pfa._outer_breakpoints(lo, hi))
 
 
 @pytest.mark.parametrize("a", SEPARATIONS)
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_pfa_panels_match_quadpack(quad, name, a):
-    for f, lo, hi in pfa_panels(PROFILES[name], a):
+    for f, lo, hi, _ in pfa_panels(PROFILES[name], a):
         assert_matches_quadpack(quad, f, lo, hi, 1.0e-10)
+
+
+@pytest.mark.parametrize("a", SEPARATIONS)
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_outer_panel_with_its_breakpoints_matches_qagp(quad, name, a):
+    _, (f, lo, hi, points) = pfa_panels(PROFILES[name], a)
+    assert points
+    assert_matches_quadpack(quad, f, lo, hi, 1.0e-10, same_count=False, points=points)
 
 
 @pytest.mark.parametrize("a", SEPARATIONS)
@@ -134,3 +147,45 @@ def test_a_bad_range_is_refused_before_any_panel_runs(lo, hi):
         integrate(calls.append, lo, hi, rel_tol=1.0e-9)
     assert f"[{lo!r}, {hi!r}]" in str(refusal.value)
     assert calls == []
+
+
+@pytest.mark.parametrize("b, points", [
+    (2.0, (math.nan,)),
+    (2.0, (0.5, math.inf)),
+    (2.0, (0.5, 0.5)),
+    (2.0, (1.0, 0.5)),
+    (2.0, (0.0, 0.5)),
+    (2.0, (0.5, 2.0)),
+    (math.inf, (1.0,)),
+    (2.0, tuple(1.0 + i / 300.0 for i in range(1, 300))),
+], ids=["nan", "inf", "repeated", "decreasing", "at-start", "at-end", "infinite-range",
+        "limit-panels"])
+def test_bad_breakpoints_are_refused_before_any_panel_runs(b, points):
+    calls = []
+    with pytest.raises(ValueError, match=r"breakpoints \(") as refusal:
+        integrate(calls.append, 0.0, b, rel_tol=1.0e-9, points=points)
+    assert repr(points) in str(refusal.value)
+    assert calls == []
+
+
+def test_a_breakpoint_on_a_kink_leaves_two_exact_panels():
+    # |x - c| is linear on either side of c, where both rules are exact.
+    c = 0.3
+    value, _, evaluations = integrate(lambda x: abs(x - c), -1.0, 2.0, rel_tol=1.0e-12,
+                                      points=(c,))
+    assert abs(value / ((1.0 + c) ** 2 / 2.0 + (2.0 - c) ** 2 / 2.0) - 1.0) <= 1.0e-14
+    assert evaluations == 42
+
+
+def test_breakpoints_count_toward_the_subinterval_limit():
+    # 1/x has no integral on [0, 1].  Two initial panels leave room for 298
+    # bisections, one fewer than a single initial panel leaves.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / x
+
+    with pytest.raises(NumericalError, match="stopped at 300 subintervals"):
+        integrate(f, 0.0, 1.0, rel_tol=1.0e-12, points=(0.5,))
+    assert len(calls) == 2 * 21 + 298 * 42
