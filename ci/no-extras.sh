@@ -106,6 +106,15 @@ test "$(grep -c '^error: ' err.txt)" -eq 1
 grep -q -e --tol err.txt
 if grep -q Traceback err.txt; then exit 1; fi
 
+echo "== Quadrature that cannot reach --tol exits 2 with one numerical failure line"
+code=0
+caslens force --method quadrature --R 15cm --a-list 1um --tol 1e-16 \
+  2> err.txt || code=$?
+cat err.txt
+test "$code" -eq 2
+test "$(grep -c '^numerical failure: ' err.txt)" -eq 1
+if grep -q Traceback err.txt; then exit 1; fi
+
 echo "== Every command meets the lens shape refusals, with one error line"
 code=0
 caslens validate-lens --profile pit --R 1mm --R1 0.9mm --D1 0.9um \

@@ -49,8 +49,8 @@ one of them, and ``pfa`` calls it directly for every gap it forms.
 At tau >> 1 the bracket B approaches zeta(3)/2 (classical limit).  A
 brute-force cross-check sums the thermal (Matsubara) series directly,
 integrating each term numerically over the dimensionless momentum
-variable y; it shares no code with the closed series and is kept
-deliberately independent.
+variable y up to its exact analytic tail; it shares no code with the
+closed series and is kept deliberately independent.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ _TAIL_BOUND = 1.0e-18
 #: and the tail bound at which the sum over indices stops.
 _ORACLE_TOL = 1.0e-12
 
-#: Lower integration limits at or above this value use the two-term
-#: analytic tail of the momentum integral; the neglected remainder is
-#: below double precision there, and adaptive quadrature on such a far
-#: tail would only lose relative accuracy.
+#: Upper end of every momentum quadrature, where the two-term analytic tail
+#: of the momentum integral takes over: its next term, (1+3y)e^(-3y)/27, is
+#: below 1e-30 of the tail from here on.  A lower limit at or above it uses
+#: the tail alone.
 _ANALYTIC_TAIL_MIN = 34.0
 
 
@@ -229,33 +229,30 @@ def _momentum_integrand(y: float) -> float:
         return 0.0
     if y < 1.0e-8:
         return y * math.log(y)
-    ex = math.exp(-y)
-    if ex == 0.0:
-        return 0.0
-    return y * math.log1p(-ex)
+    return y * math.log1p(-math.exp(-y))
 
 
 def _momentum_integral(m: float) -> float:
     """Integral of y*ln(1 - e^(-y)) over y in [m, inf), m = tau l >= 0; non-positive.
 
-    Evaluated by the adaptive Gauss-Kronrod rule of ``caslens.quadrature``.
-    For m >= _ANALYTIC_TAIL_MIN the two-term analytic tail
-    -(1+m)e^(-m) - (2m+1)e^(-2m)/8 is exact to double precision and is
-    used directly.  A panel that misses the tolerance raises
+    With c = max(m, _ANALYTIC_TAIL_MIN), the part on [m, c] is one call of
+    the adaptive Gauss-Kronrod rule of ``caslens.quadrature`` (none when
+    m >= c), with a breakpoint at y = 1 when m < 1 so the logarithmic
+    behaviour near y = 0 gets its own initial panel.  The part on [c, inf)
+    is the two-term analytic tail -(1+c)e^(-c) - (2c+1)e^(-2c)/8, exact to
+    double precision.  Both parts are non-positive, so their relative
+    errors just add.  A quadrature that misses the tolerance raises
     ConvergenceError.
     """
-    if m >= _ANALYTIC_TAIL_MIN:
-        return -(1.0 + m) * math.exp(-m) - (2.0 * m + 1.0) * math.exp(-2.0 * m) / 8.0
-    total = 0.0
-    # Split at y = 1 so the logarithmic behaviour near y = 0 gets its own
-    # panel; both pieces are non-positive, so relative errors just add.
-    bounds = (m, 1.0, math.inf) if m < 1.0 else (m, math.inf)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    end = max(m, _ANALYTIC_TAIL_MIN)
+    total = -(1.0 + end) * math.exp(-end) - (2.0 * end + 1.0) * math.exp(-2.0 * end) / 8.0
+    if m < end:
         try:
-            total += integrate(_momentum_integrand, lo, hi, rel_tol=_ORACLE_TOL)[0]
+            total += integrate(_momentum_integrand, m, end, rel_tol=_ORACLE_TOL,
+                               points=(1.0,) if m < 1.0 else ())[0]
         except QuadratureError as exc:
             raise ConvergenceError(
-                f"momentum integral on [{lo}, {hi}] did not converge: {exc}"
+                f"momentum integral on [{m}, {end}] did not converge: {exc}"
             ) from exc
     return total
 
@@ -263,9 +260,11 @@ def _momentum_integral(m: float) -> float:
 def free_energy_pp_oracle(z: float, T: float, *, l_max: int = 100_000) -> FreeEnergyAreal:
     """Brute-force thermal sum for F_pp; independent of the closed series.
 
-    Sums the thermal indices l = 0, 1, 2, ... (index 0 halved), each term a
-    Gauss-Kronrod quadrature (``caslens.quadrature``) over the dimensionless
-    momentum variable y = 2 z q_l starting at y = tau*l.  The sum stops once
+    Sums the thermal indices l = 0, 1, 2, ... (index 0 halved), each term an
+    integral over the dimensionless momentum variable y = 2 z q_l from
+    y = tau*l (``_momentum_integral``): a Gauss-Kronrod quadrature
+    (``caslens.quadrature``) up to y = _ANALYTIC_TAIL_MIN and the exact
+    analytic tail beyond it, so no range is infinite.  The sum stops once
     a geometric tail bound drops below 1e-12 of the accumulated value;
     running past l_max raises instead of silently truncating.
     """

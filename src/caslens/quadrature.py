@@ -9,10 +9,9 @@ tolerance.  One panel's error estimate is QUADPACK's
     resasc * min(1, (200 |K21 - G10| / resasc)^1.5),
 
 floored at 50 machine epsilons of the panel's integral of |f|; resasc is
-the integral of |f - mean(f)|.  A half-infinite range [a, inf) is mapped
-onto (0, 1] by y = a + (1 - t)/t, and no node falls on t = 0.
+the integral of |f - mean(f)|.  Both ends of the range are finite.
 
-As in QUADPACK's QAGP, a finite range may be cut at interior breakpoints
+As in QUADPACK's QAGP, the range may be cut at interior breakpoints
 (``points``).  The pieces between them are the initial panels, they count
 toward the LIMIT subintervals, and bisection then works on all of them
 through one heap.  There is still no extrapolation, with or without
@@ -112,13 +111,13 @@ def integrate(
 ) -> tuple[float, float, int]:
     """Integral of f over [a, b] by adaptive 21-point Gauss-Kronrod.
 
-    ``a`` must be finite and ``b`` finite or ``math.inf``: a NaN or infinite
-    start, or a NaN or -inf end, is a ValueError naming the range, raised
-    before any panel runs.  ``rel_tol`` must be positive and finite
-    (ValueError otherwise) and is raised to MIN_REL_TOL.  ``points`` are
-    interior breakpoints, finite, strictly increasing and strictly inside
-    (a, b), on a finite range only, and fewer than LIMIT - 1; any other
-    tuple is a ValueError naming it, raised before any panel runs.  The
+    ``a`` and ``b`` must both be finite: a NaN or infinite end is a
+    ValueError naming the range and any breakpoints, raised before any
+    panel runs.  ``rel_tol`` must be positive and finite (ValueError
+    otherwise) and is raised to MIN_REL_TOL.  ``points`` are interior
+    breakpoints, strictly increasing and strictly inside (a, b), and fewer
+    than LIMIT - 1; any other tuple is a ValueError naming it, raised
+    before any panel runs.  The
     len(points) + 1 pieces are the initial panels and count toward LIMIT;
     bisection takes the panel with the largest error estimate, whichever
     piece it lies in, and nothing is extrapolated.  With ``points=()``
@@ -126,27 +125,21 @@ def integrate(
     estimate, evaluations of f).  Raises QuadratureError when LIMIT
     subintervals do not reach the tolerance.
     """
-    if not (-math.inf < a < math.inf and -math.inf < b <= math.inf):
-        raise ValueError(f"integration range [{a!r}, {b!r}] needs a finite start "
-                         "and a finite or +inf end")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        given = f" with breakpoints {points!r}" if points else ""
+        raise ValueError(f"integration range [{a!r}, {b!r}]{given} needs two finite ends")
     rel_tol = max(check_finite("rel_tol", rel_tol, TOLERANCE), MIN_REL_TOL)
     edges = (a, *points, b)
-    if points and not (b < math.inf and len(points) < LIMIT - 1
+    if points and not (len(points) < LIMIT - 1
                        and all(lo < hi for lo, hi in zip(edges, edges[1:]))):
         raise ValueError(f"breakpoints {points!r} must be finite, strictly increasing "
-                         f"and strictly inside ({a!r}, {b!r}), with b finite and "
-                         f"fewer than {LIMIT - 1} of them")
-    g = f
-    if b == math.inf:
-        def g(t: float) -> float:
-            return f(a + (1.0 - t) / t) / (t * t)
-
-        edges = (0.0, 1.0)
+                         f"and strictly inside ({a!r}, {b!r}), and fewer than "
+                         f"{LIMIT - 1} of them")
     # Max-heap on the error estimate: (-error, lo, hi, value).
     panels = []
     area, errsum = -0.0, 0.0  # -0.0 + x is x, so one panel's sums are its own
     for lo, hi in zip(edges, edges[1:]):
-        value, error = _kronrod21(g, lo, hi)
+        value, error = _kronrod21(f, lo, hi)
         area += value
         errsum += error
         panels.append((-error, lo, hi, value))
@@ -157,8 +150,8 @@ def integrate(
     for _ in range(LIMIT - len(panels)):
         neg_error, lo, hi, value = heapq.heappop(panels)
         mid = 0.5 * (lo + hi)
-        left, left_error = _kronrod21(g, lo, mid)
-        right, right_error = _kronrod21(g, mid, hi)
+        left, left_error = _kronrod21(f, lo, mid)
+        right, right_error = _kronrod21(f, mid, hi)
         evaluations += 42
         area += left + right - value
         errsum += left_error + right_error + neg_error

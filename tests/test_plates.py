@@ -291,6 +291,17 @@ def test_oracle_classical_index_alone():
     assert_allclose(plates._momentum_integral(0.0), -ZETA3, rtol=1.0e-12)
 
 
+@pytest.mark.parametrize("m", [0.0, 0.3, 1.0, 5.0, 20.0, 33.9, 34.0, 40.0])
+def test_momentum_integral_matches_polylogarithms(m):
+    # Integral over [m, inf) of y ln(1 - e^(-y)) = -(m Li2(e^(-m)) + Li3(e^(-m))).
+    # The rows about 34 cover the switch from quadrature to the analytic tail.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        x = mp.exp(-mp.mpf(m))
+        reference = float(-(m * mp.polylog(2, x) + mp.polylog(3, x)))
+    assert relative_error(plates._momentum_integral(m), reference) <= 1.0e-13
+
+
 def test_oracle_reports_truncation_instead_of_lying():
     with pytest.raises(ConvergenceError):
         free_energy_pp_oracle(1.0e-6, 300.0, l_max=3)
