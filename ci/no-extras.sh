@@ -2,9 +2,9 @@
 # The command-line checks of a plain install (no extras).  Each block is one
 # check, headed by an echo of its title.  Run it with `caslens` on PATH, from
 # any directory: it writes err.txt, run.cfg, budget.cfg, quadrature.csv,
-# full.csv, from-config.csv and from-flags.csv there, and finds README.md
-# and the golden table next to itself.  Any failing command ends the run
-# with its exit status.
+# full.csv, from-config.csv, from-flags.csv, pressure.csv, ratio.csv,
+# errors.txt and lens.txt there, and finds README.md and the golden table
+# next to itself.  Any failing command ends the run with its exit status.
 set -e
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
@@ -63,6 +63,30 @@ library = text.split("## Library", 1)[1]
 code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
 exec(compile(code, "README.md", "exec"), {})
 PY
+
+echo "== pressure, ratio, combine-errors and validate-lens run to their output"
+caslens pressure --a-list 1um,3um --T 0 > pressure.csv
+cat pressure.csv
+awk -F, '
+  NR == 1 { ok = $0 == "z_m,pressure_N_per_m2"; next }
+  { if (!($2 < 0)) ok = 0; rows++ }
+  END { exit !(ok && rows == 2) }' pressure.csv
+caslens ratio --profile pit --R 15cm --R1 12cm --D1 1um \
+  --a-start 1um --a-stop 3um --a-step 0.05um > ratio.csv
+awk -F, '
+  NR == 1 { ok = $0 == "a_m,ratio"; next }
+  { if (!($2 < 1)) ok = 0; rows++ }
+  END { exit !(ok && rows == 41) }' ratio.csv
+# One systematic component with r = 0.19 / 0.02 = 9.5 > 8: it alone is the total.
+printf 'random_error = 0.05\nsystematic_components = 0.19\nvariance_of_mean = 0.02\n' > budget.cfg
+caslens combine-errors --budget budget.cfg > errors.txt
+cat errors.txt
+grep -qx 'r = 9.5' errors.txt
+grep -qx 'rule = systematic-dominates' errors.txt
+grep -qx 'delta_t = 0.19' errors.txt
+caslens validate-lens --profile pit --R 15cm --R1 12cm --D1 1um > lens.txt
+cat lens.txt
+test "$(tail -n 1 lens.txt)" = "overall: PASS"
 
 echo "== A grid of more than 100000 points is refused with exit 1"
 code=0

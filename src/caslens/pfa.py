@@ -232,7 +232,10 @@ def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult
     It is *not* the surface integral of the pit profile, which is
     ``force(LensProfile.pit(R, R1, D1), a, T, "full")``, to leading order
     2 pi (R + R1) F_pp(a) - 2 pi R1 F_pp(a + D1): the area measure rho drho
-    concentrates near the rim circle, where the gap is a.
+    concentrates near the rim circle, where the gap is a.  Over a perfect
+    lens the two deviate from 1 alike with opposite signs: on the Fig. 2 pit
+    at a = 1, 2 and 3 um, 300 K, 1.6855, 1.5037 and 1.3728 against this
+    form's 0.3145, 0.4963 and 0.6272.
 
     R1 = 0 (no pit) reproduces the simplified perfect form exactly; like
     that form, it refuses a >= R and warns from a/R = 1e-2 on.

@@ -21,8 +21,8 @@ Both brackets come from one function and its logarithmic derivatives
     B      = S - DS
     2B - tau B' = 2S - 3DS + D^2 S.
 
-One loop sums S, DS and D^2 S at an argument of at least 2 pi.  For
-tau >= 2 pi that argument is tau itself.  Below 2 pi it is the dual
+One loop serves both representations: it sums S, DS and D^2 S at an
+argument of at least 2 pi, tau itself for tau >= 2 pi, and below it the dual
 parameter sigma = 4 pi^2 / tau, through Ramanujan's zeta(3) formula
 (Berndt, Ramanujan's Notebooks II, Entry 21(i)):
 
@@ -134,21 +134,28 @@ class FreeEnergyAreal(_Fields):
         self.terms_used = terms_used
 
 
-def _moments(a: float) -> tuple[float, float, float, int]:
-    """S, DS and D^2 S at a >= 2 pi (D = a d/da), and the terms summed.
+def _plate_kernel(z: float, T: float) -> tuple[float, float, float, float, int]:
+    """F_pp, P_pp and E_pp in SI, the bracket B and the terms summed, for
+    every z > 0 and T >= 0, with no domain check: ``pfa``'s gaps reach 3e5 m.
 
-    With u = n a, x = e^(-u) and w = 1/(1 - x), term n of the three sums is
+    The loop sums S, DS and D^2 S (D = a d/da) at a = tau or sigma (inf at
+    T = 0).  With u = n a, x = e^(-u) and w = 1/(1 - x), term n of each is
 
         m0 = x w / n^3,   -m1 = -u w m0,   m2 - m1 = (u (1 + x) w - 1) m1.
 
     For a >= 2 pi, u w >= 1, so m0 <= m1 <= m2; each of m0, m1, m2 shrinks
     at least by q = e^(-a) from one n to the next.  The remainder of every
-    moment after term n is therefore at most m2 q / (1 - q), and the loop
-    stops once that drops below _TAIL_BOUND (at most 6 terms).
+    sum after term n is therefore at most m2 q / (1 - q), and the loop stops
+    once that drops below _TAIL_BOUND (at most 6 terms).  Each branch reads
+    the sums into B and f, p and g, which are F_pp, P_pp and E_pp in units
+    of their zero-temperature values.
     """
+    t = _tau(z, T)
+    direct = t >= _TWO_PI
+    a = t if direct else (_FOUR_PI_SQ / t if t > 0.0 else math.inf)
     q = math.exp(-a)
     ratio = q / (1.0 - q)
-    s0, s1, s2 = 0.5 * ZETA3, 0.0, 0.0
+    s0, s1, s2 = 0.5 * ZETA3, 0.0, 0.0  # S, DS and the sum of every m2
     n, x = 0, q
     while x > 0.0:  # 0 once e^(-a) underflows, as at a = inf (T = 0, dual side)
         n += 1
@@ -158,46 +165,32 @@ def _moments(a: float) -> tuple[float, float, float, int]:
         m1 = u * w * m0
         m2 = u * (1.0 + x) * w * m1
         s0 += m0
-        s1 += m1
+        s1 -= m1
         s2 += m2
         if m2 * ratio <= _TAIL_BOUND:
             break
         x *= q
-    return s0, -s1, s2 - s1, n
-
-
-def _plate_kernel(z: float, T: float) -> tuple[float, float, float, float, int]:
-    """F_pp, P_pp and E_pp in SI, the bracket B and the terms summed, for
-    every z > 0 and T >= 0, with no domain check: ``pfa``'s gaps reach 3e5 m.
-
-    f, p and g are F_pp, P_pp and E_pp in units of their zero-temperature
-    values.
-    """
-    t = _tau(z, T)
-    if t >= _TWO_PI:
-        s0, s1, s2, terms = _moments(t)
+    s2 += s1  # D^2 S
+    if direct:
         bracket = s0 - s1
         f = _F_NORM * t * bracket
         p = _P_NORM * t * (2.0 * s0 - 3.0 * s1 + s2)
         g = _G_NORM * t * s0
     else:
-        # Dual side.  With S, DS and D^2 S now the moments at sigma (where D
-        # is sigma d/dsigma, and tau d/dtau = -D), the duality gives
+        # With the sums at sigma, where tau d/dtau = -D, the duality gives
         #   tau B             = pi^4/45 + tau^3 [(S - DS)/(4 pi^2) - tau/720]
         #   tau (2B - tau B') = pi^4/15 + tau^3 [(DS - D^2 S)/(4 pi^2) + tau/720]
         #   tau S             = pi^4/90 + tau^2 [pi^2/72 + tau (tau/1440 - S/(4 pi^2))].
-        sigma = _FOUR_PI_SQ / t if t > 0.0 else math.inf
-        s0, s1, s2, terms = _moments(sigma)
         t3 = t * t * t
         f = 1.0 + _F_NORM * t3 * ((s0 - s1) / _FOUR_PI_SQ - t / 720.0)
         p = 1.0 + _P_NORM * t3 * ((s1 - s2) / _FOUR_PI_SQ + t / 720.0)
         g = 1.0 + _G_NORM * t * t * (_PI_SQ / 72.0 + t * (t / 1440.0 - s0 / _FOUR_PI_SQ))
         # B = pi^4 f / (45 tau), with 1/tau = sigma / (4 pi^2); +inf at T = 0.
-        bracket = _PI_SQ / 180.0 * sigma * f
+        bracket = _PI_SQ / 180.0 * a * f
     return (_MINUS_PI_SQ_HBAR_C / (720.0 * z**3) * f,
             _MINUS_PI_SQ_HBAR_C / (240.0 * z**4) * p,
             _MINUS_PI_SQ_HBAR_C / (1440.0 * z**2) * g,
-            bracket, terms)
+            bracket, n)
 
 
 def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
@@ -266,8 +259,11 @@ def free_energy_pp_oracle(z: float, T: float, *, l_max: int = 100_000) -> FreeEn
     (``caslens.quadrature``) up to y = _ANALYTIC_TAIL_MIN and the exact
     analytic tail beyond it, so no range is infinite.  The sum stops once
     a geometric tail bound drops below 1e-12 of the accumulated value;
-    running past l_max raises instead of silently truncating.
+    running past l_max raises instead of silently truncating.  An l_max
+    that is not an integer >= 1 is refused before any quadrature runs.
     """
+    if not isinstance(l_max, int) or l_max < 1:
+        raise ValueError(f"l_max must be an integer >= 1, got {l_max!r}")
     if not T > 0.0:
         raise ValueError("the brute-force sum requires T > 0; "
                          "free_energy_pp handles T = 0 directly")

@@ -15,6 +15,7 @@ from caslens import (
     force_general,
     force_perfect_full,
     force_pit,
+    free_energy_pp_oracle,
     ratio_curve,
     tau,
     validate_spec,
@@ -66,6 +67,8 @@ ENTRIES = {
     "validate_spec": (validate_spec, {"profile": BUBBLE, "curvature_tolerance": 5.0e-4},
                       {"curvature_tolerance": POSITIVE}),
     "tau": (tau, {"z": 1.0e-6, "T": 300.0}, {"z": POSITIVE, "T": NON_NEGATIVE}),
+    "free_energy_pp_oracle": (free_energy_pp_oracle, {"z": 1.0e-6, "T": 300.0, "l_max": 100},
+                              {"z": POSITIVE, "T": POSITIVE, "l_max": (0, -1, 1.5)}),
 }
 
 

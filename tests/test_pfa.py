@@ -27,6 +27,7 @@ from caslens import (
     ratio_curve,
     validate_spec,
 )
+from caslens.constants import LIGHT_SPEED, REDUCED_PLANCK
 from caslens.exceptions import QuadratureError
 from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN
 from caslens.quadrature import integrate
@@ -557,35 +558,42 @@ def _built_lenses(draw):
 
 
 #: Built profiles on which ``full`` and ``quadrature`` at quad_tol 1e-12 do not
-#: agree within 1e-10 (FOUND in CHANGES.md).  The first is ROADMAP item 3's
-#: named exemption, a QuadratureError on a pit at a <= 3e-12 m; the others lie
-#: outside it.  On the 3e-5 pit a 40-digit mpmath integral of the T = 0
-#: profile matches ``full`` to 1e-16, so there ``quadrature`` returns a wrong
-#: value without a QuadratureError.  The bubble 4.7e-8 off is the second such
-#: silent value, the same at T = 0 and 300 K: its footprint radius r exceeds
-#: half the lens extent, so the seam kink at rho = r lies inside the first
-#: outer panel.  On the thin perfect lens ``full`` is within its own 1e-9
-#: bound but not within 1e-10.
+#: agree within 1e-10 (FOUND in CHANGES.md), each with the error it raises
+#: here and the method that the 40-digit ``reference.force_reference`` at
+#: T = 0 convicts.  The first is ROADMAP item 3's named exemption, a
+#: QuadratureError on a pit at a <= 3e-12 m; the others lie outside it.  On
+#: every row but the last the reference puts ``full`` within 2.2e-16, so the
+#: QuadratureErrors are ``quadrature``'s, and so are the two silent values:
+#: on the 3e-5 pit ``quadrature`` is 3.05e-5 off the reference, and on the
+#: bubble 4.69e-8 off, the same at T = 0 and 300 K (its footprint radius r
+#: exceeds half the lens extent, so the seam kink at rho = r lies inside the
+#: first outer panel).  On the thin perfect lens ``full`` is 5.6e-11 off the
+#: reference, within its own 1e-9 bound but not within 1e-10, and
+#: ``quadrature`` is within 7e-16: there the by-parts terms cancel.
 FULL_QUADRATURE_DISAGREEMENTS = {
     "pit-a-1.5e-12-no-convergence": (
-        LensProfile.pit(0.5, 6.5e-4, 7.6e-6, D=6.3e-3), 1.5e-12, 0.0, QuadratureError),
+        LensProfile.pit(0.5, 6.5e-4, 7.6e-6, D=6.3e-3), 1.5e-12, 0.0, QuadratureError,
+        "quadrature"),
     "pit-a-1.1e-10-no-convergence": (
-        LensProfile.pit(2.0, 3.9e-2, 6.2e-4, D=7.9e-2), 1.1e-10, 0.0, QuadratureError),
+        LensProfile.pit(2.0, 3.9e-2, 6.2e-4, D=7.9e-2), 1.1e-10, 0.0, QuadratureError,
+        "quadrature"),
     "pit-a-4.2e-9-no-convergence": (
-        LensProfile.pit(8.9e4, 14.0, 6.2e-3, D=8.4e-3), 4.2e-9, 300.0, QuadratureError),
+        LensProfile.pit(8.9e4, 14.0, 6.2e-3, D=8.4e-3), 4.2e-9, 300.0, QuadratureError,
+        "quadrature"),
     "bubble-a-1.3e-12-no-convergence": (
-        LensProfile.bubble(1.0e-4, 12.0, 1.2e-11, D=5.0e-5), 1.3e-12, 300.0, QuadratureError),
+        LensProfile.bubble(1.0e-4, 12.0, 1.2e-11, D=5.0e-5), 1.3e-12, 300.0, QuadratureError,
+        "quadrature"),
     "pit-a-1.5e-12-3e-5-off": (
         LensProfile.pit(27483.651602469054, 0.05935436814461252, 0.012473720207729471,
                         D=6.051968791172717e-08),
-        1.4662585461929144e-12, 0.0, AssertionError),
+        1.4662585461929144e-12, 0.0, AssertionError, "quadrature"),
     "bubble-a-8.5e-11-4.7e-8-off": (
         LensProfile(LensKind.BUBBLE, 0.00017192943732642887, 1.7614357312086106e-09,
                     0.0013073935323327495, 9.74103398420565e-11),
-        8.475870308569837e-11, 0.0, AssertionError),
+        8.475870308569837e-11, 0.0, AssertionError, "quadrature"),
     "thin-perfect-1.2e-10-off": (
         LensProfile.perfect(4.24015317948679, 6.85613430194986e-11),
-        2.8230128620302183e-05, 300.0, AssertionError),
+        2.8230128620302183e-05, 300.0, AssertionError, "full"),
 }
 
 
@@ -612,6 +620,44 @@ def test_full_matches_quadrature_where_they_are_found_to_disagree(profile, a, T)
 @given(case=_built_lenses())
 def test_full_matches_quadrature_on_every_profile_that_builds(case):
     _assert_full_matches_quadrature(*case)
+
+
+@pytest.mark.parametrize("name", FULL_QUADRATURE_DISAGREEMENTS)
+def test_the_reference_convicts_the_named_method_on_each_disagreement(name):
+    pytest.importorskip("mpmath")
+    from reference import force_reference
+
+    profile, a, _T, failure, convicted = FULL_QUADRATURE_DISAGREEMENTS[name]
+    exact = force_reference(profile, a)
+
+    def off(value):
+        return abs(value / exact - 1.0)
+
+    full = off(force(profile, a, 0.0, "full").value)
+    if convicted == "full":
+        assert full > 1.0e-11
+        assert off(force_general(profile, a, 0.0, quad_tol=1.0e-12).value) <= 1.0e-14
+        return
+    assert convicted == "quadrature" and full <= 1.0e-14
+    if failure is AssertionError:  # a silent value, not a QuadratureError
+        assert off(force_general(profile, a, 0.0, quad_tol=1.0e-12).value) > 1.0e-9
+
+
+@pytest.mark.parametrize("R, D, a", [(R_BENCH, R_BENCH, 1.0e-6), (1.0e5, 1.0e5, 1.0e-12),
+                                     (R_BENCH, 1.0e-12, 1.0e-12), (1.0e-12, 1.0e-12, 1.0e-4)])
+def test_the_reference_matches_the_perfect_lens_integral_in_closed_form(R, D, a):
+    # On a perfect lens rho drho = (R - h) dh, so the reference's integral is
+    # the closed (R + a)(a^-3 - (a + D)^-3)/3 - (a^-2 - (a + D)^-2)/2.
+    mpmath = pytest.importorskip("mpmath")
+    from reference import DIGITS, force_reference
+
+    with mpmath.workdps(DIGITS):
+        R_, D_, a_ = mpmath.mpf(R), mpmath.mpf(D), mpmath.mpf(a)
+        integral = ((R_ + a_) * (a_**-3 - (a_ + D_)**-3) / 3
+                    - (a_**-2 - (a_ + D_)**-2) / 2)
+        closed = float(-mpmath.pi**3 * mpmath.mpf(REDUCED_PLANCK) * mpmath.mpf(LIGHT_SPEED)
+                       / 120 * integral)
+    assert force_reference(LensProfile.perfect(R, D), a) == pytest.approx(closed, rel=2.3e-16)
 
 
 # In this test and the next each ``profile`` is a builder: the lens is
@@ -680,3 +726,24 @@ def test_fig2_pit_against_the_exact_profile_integral():
     assert_allclose(np.divide(tabulated, exact), (0.131, 0.187, 0.330, 0.457), atol=1.0e-3)
     assert_allclose(over_perfect, (1.768, 1.686, 1.504, 1.373), atol=1.0e-3)
     assert list(np.round(over_perfect, 2)) == [1.77, 1.69, 1.50, 1.37]
+
+
+@pytest.mark.parametrize("profile", [PIT_CASE, BUBBLE_WIDE, BUBBLE_NARROW],
+                         ids=["pit", "bubble-wide", "bubble-narrow"])
+def test_fig2_exact_ratios_against_the_tabulated_curves(profile):
+    # The exact ratio is ``full`` over ``full`` on a perfect lens of the same
+    # R.  Both pit forms are 1 -+ (R1/R)(1 - F(a + D1)/F(a)) to leading order,
+    # so their deviations from 1 cancel within (a + D1)/R: the tabulated pit
+    # curve is the exact one with its deviation's sign flipped.  The bubbles'
+    # closed form is the exact ratio within the same order.
+    separations = (1.0e-6, 2.0e-6, 3.0e-6)
+    perfect = LensProfile.perfect(R_BENCH)
+    tabulated = ratio_curve(profile, separations, T_BENCH).ratios
+    for a, curve in zip(separations, tabulated):
+        exact = (force(profile, a, T_BENCH, "full").value
+                 / force(perfect, a, T_BENCH, "full").value)
+        bound = (a + profile.D1) / R_BENCH
+        if profile.kind is LensKind.PIT:
+            assert abs((exact - 1.0) + (curve - 1.0)) <= bound
+        else:
+            assert abs(exact - curve) <= bound
