@@ -2,25 +2,40 @@
 # The command-line checks of a plain install (no extras).  Each block is one
 # check, headed by an echo of its title.  Run it with `caslens` on PATH, from
 # any directory: it writes err.txt, run.cfg, budget.cfg, quadrature.csv,
-# full.csv, from-config.csv, from-flags.csv, pressure.csv, ratio.csv,
-# errors.txt and lens.txt there, and finds README.md and the golden table
-# next to itself.  Any failing command ends the run with its exit status.
+# full.csv, pit-quadrature.csv, pit-full.csv, perfect-quadrature.csv,
+# perfect-full.csv, from-config.csv, from-flags.csv, pressure.csv,
+# ratio.csv, errors.txt and lens.txt there, and finds README.md and the
+# golden table next to itself.  Any failing command ends the run with its
+# exit status.
 set -e
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 echo "== Closed-form command, byte-identical to the golden table"
 caslens reproduce-fig2 | cmp - "$root/perfbench/golden/reproduce-fig2.csv"
 
-echo "== Quadrature command, within 1e-9 of the exact PFA by parts"
-caslens force --method quadrature --profile bubble --R 15cm \
-  --R1 0.25m --D1 0.5um --a-list 1um,2um,3um > quadrature.csv
-caslens force --method full --profile bubble --R 15cm \
-  --R1 0.25m --D1 0.5um --a-list 1um,2um,3um > full.csv
-cat quadrature.csv
-paste -d, quadrature.csv full.csv | awk -F, '
-  NR == 1 { ok = $2 == "F_N" && $5 == "F_N"; next }
-  { rel = $2 / $5 - 1; if (rel > 1e-9 || rel < -1e-9) ok = 0; rows++ }
-  END { exit !(ok && rows == 3) }'
+# Writes <prefix>quadrature.csv and <prefix>full.csv for the profile flags
+# given after the prefix, at a = 1, 2 and 3 um, and fails unless every force
+# of the quadrature lies within 1e-9 of the exact PFA by parts.
+quadrature_matches_full() {
+  prefix=$1
+  shift
+  caslens force --method quadrature "$@" --a-list 1um,2um,3um > "${prefix}quadrature.csv"
+  caslens force --method full "$@" --a-list 1um,2um,3um > "${prefix}full.csv"
+  cat "${prefix}quadrature.csv"
+  paste -d, "${prefix}quadrature.csv" "${prefix}full.csv" | awk -F, '
+    NR == 1 { ok = $2 == "F_N" && $5 == "F_N"; next }
+    { rel = $2 / $5 - 1; if (rel > 1e-9 || rel < -1e-9) ok = 0; rows++ }
+    END { exit !(ok && rows == 3) }'
+}
+
+echo "== Quadrature command, within 1e-9 of the exact PFA by parts: Fig. 2 bubble"
+quadrature_matches_full "" --profile bubble --R 15cm --R1 0.25m --D1 0.5um
+
+echo "== Quadrature command, within 1e-9 of the exact PFA by parts: Fig. 2 pit"
+quadrature_matches_full pit- --profile pit --R 15cm --R1 12cm --D1 1um
+
+echo "== Quadrature command, within 1e-9 of the exact PFA by parts: perfect lens at T = 0"
+quadrature_matches_full perfect- --R 15cm --T 0
 
 echo "== Low-temperature force, served by the dual series"
 caslens force --profile perfect --R 15cm --a-list 0.1um --T 1

@@ -160,10 +160,13 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
     """The separation rho -> z between the plate and the lens surface above
     radius rho, at closest approach a.
 
-    The seam geometry is computed once, so a quadrature can call the
-    returned function at every node; it does not check that rho lies in
-    [0, lateral_extent(profile)].  The profile's D <= R and D1 <= R1 keep
-    z(rho) single-valued, and its footprint lies inside the lens.
+    The seam geometry is computed once, so the returned function can be
+    called at many radii; it does not check that rho lies in
+    [0, lateral_extent(profile)].  ``pfa.force_general`` does not call it:
+    it builds the gap of each spherical piece from the same lengths, and
+    the tests check the two against each other.  The profile's D <= R and
+    D1 <= R1 keep z(rho) single-valued, and its footprint lies inside the
+    lens.
 
     The imperfection region and the surrounding lens meet continuously on
     the seam circle rho = r; the lens-region offset uses the exact sagitta

@@ -22,7 +22,7 @@ where z_e is the gap at the lens edge.  ``full`` is exact within the PFA
 for every kind.  The simplified and bubble forms drop terms of order
 (a, D1)/R, about 1e-5 for micrometer gaps and centimeter lenses; the pit
 form is the tabulated one (see ``force_pit``).  ``quadrature``, which
-integrates the height profile numerically, is the cross-check.
+integrates rho P_pp over each spherical piece numerically, is the cross-check.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import math
 from collections.abc import Iterable
 from enum import Enum
 
+from .constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from .exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, QuadratureError,
                          _Fields, _Record, check_finite)
-from .lens import (LensKind, LensProfile, _cap_height, _footprint_radius, height_function,
-                   lateral_extent)
+from .lens import LensKind, LensProfile, _cap_height, _footprint_radius
 from .plates import _plate_kernel
 from .quadrature import MIN_REL_TOL, integrate
 
@@ -53,13 +53,9 @@ _TWO_PI = 2.0 * math.pi
 #: Which kernel value a term takes: its index in the ``_plate_kernel`` tuple of its gap.
 _F, _E = 0, 2
 
-#: Width in e-folds of the first outer quadrature panel, and the factor by
-#: which each next panel widens (see ``_outer_breakpoints``).  Of the pairs
-#: on a 0.125 grid, these take the fewest kernel calls over the
-#: force-quadrature benchmark pools of seeds 3 and 11 (a mean of 122.4 per
-#: force, against 133.2 for 1 and 2) without raising the costliest force.
-_OUTER_FIRST_WIDTH = 1.25
-_OUTER_GROWTH = 1.75
+#: z_T T, where z_T is the gap at which tau = 4 pi z k_B T / (hbar c) = 2 pi:
+#: below it the plate kernel sums the dual series, from it on the direct one.
+_Z_T_TIMES_T = REDUCED_PLANCK * LIGHT_SPEED / (2.0 * BOLTZMANN)
 
 
 class ForceMethod(Enum):
@@ -243,23 +239,50 @@ def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult
     return _closed_force(LensKind.PIT, a, T, R, R1, D1)
 
 
-def _outer_breakpoints(lo: float, hi: float) -> tuple[float, ...]:
-    """Breakpoints of ``force_general``'s outer panel [lo, hi] in v = ln rho.
+def _pieces(profile: LensProfile, a: float, T: float) -> list[tuple]:
+    """``force_general``'s pieces: for each spherical piece of the profile,
+    its integrand over w in [0, 1] and its breakpoints.
 
-    Beyond the footprint scale the integrand rho^2 P(z(rho)) falls like
-    e^(-4v) to e^(-6v), as P(z) falls like z^-3 to z^-4 and z grows like
-    rho^2: the near panels must be narrow and the far ones may be wide.  So
-    the panels widen geometrically from lo, 1.25 e-folds first and 1.75
-    times wider each next, and the last one absorbs any remainder under 1.5
-    widths.  Every breakpoint is strictly inside (lo, hi).
+    On a piece of a sphere of radius R_i, rho drho = (R_i - h) dh with h the
+    sagitta of that sphere, h runs over [h_hi - dh, h_hi], and the gap runs
+    linearly in h from g0 to g1.  In w, 1/z runs linearly between them:
+    with den = (1 - w) g1 + w g0,
+
+        z = g0 g1 / den,   R_i - h = (R_i - h_hi) + dh (1 - w) g1 / den,
+        dh/dw = g0 g1 dh / den^2,
+
+    so at T = 0, where P ~ z^-4, the integrand (R_i - h) P(z) dh/dw is a
+    quadratic in w, which one 21-node panel integrates exactly.  Every
+    length here is a sum of non-negative lengths of the profile (a, D1,
+    D - s with s the lens sagitta over the seam, R1 - D1 and R - D), so no
+    gap and no R_i - h is a difference that cancels: a pit's floor reaches
+    its rim gap a exactly, which a gap computed from rho cannot resolve
+    once rho rounds to r.  Where the piece passes z_T, the gap at which
+    tau = 2 pi and the kernel switches series, w_T is a breakpoint.
     """
-    points = []
-    v, width = lo, _OUTER_FIRST_WIDTH
-    while hi - v >= 1.5 * width:
-        v += width
-        points.append(v)
-        width *= _OUTER_GROWTH
-    return tuple(points)
+    R, D = profile.R, profile.D
+    if profile.kind is LensKind.PERFECT:
+        spheres = ((R - D, D, a, a + D),)
+    else:
+        # The cap or floor, from its apex to the seam rho = r, then the lens beyond.
+        R1, D1 = profile.R1, profile.D1
+        rise = D - _cap_height(R, _footprint_radius(profile))
+        apex, seam = (a, a + D1) if profile.kind is LensKind.BUBBLE else (a + D1, a)
+        spheres = ((R1 - D1, D1, apex, seam), (R - D, rise, seam, seam + rise))
+    z_T = _Z_T_TIMES_T / T if T > 0.0 else math.nan
+    pieces = []
+    for lever, dh, g0, g1 in spheres:
+
+        # P_pp at each gap z <= a + D1 + D, which needs no domain check.
+        def f(w: float, lever=lever, slope=dh * g1, g0=g0, g1=g1, g0g1=g0 * g1,
+              jacobian=g0 * g1 * dh, T=T, kernel=_plate_kernel) -> float:
+            u = 1.0 - w
+            den = u * g1 + w * g0
+            return (lever + slope * u / den) * kernel(g0g1 / den, T)[1] * jacobian / (den * den)
+
+        w_T = g1 * (z_T - g0) / (z_T * (g1 - g0)) if min(g0, g1) < z_T < max(g0, g1) else 0.0
+        pieces.append((f, (w_T,) if 0.0 < w_T < 1.0 else ()))
+    return pieces
 
 
 def force_general(
@@ -272,49 +295,33 @@ def force_general(
     """PFA force by direct quadrature over the actual surface profile.
 
     Integrates 2 pi rho P(z(rho)) from the symmetry axis to the lens edge
-    by the adaptive Gauss-Kronrod rule of ``caslens.quadrature``, with a
-    mandatory split on the imperfection seam rho = r (the profile has a
-    slope kink there) and a log-space outer panel so the decades between
-    the footprint scale and the lens edge stay cheap.  The outer panel
-    starts from breakpoints in v = ln rho whose panels widen geometrically
-    from the split, 1.25, 2.19, 3.83, ... e-folds (``_outer_breakpoints``):
-    past the footprint scale the integrand falls like e^(-4v) to e^(-6v),
-    so one panel over the whole range would always be rejected, and its
-    near half usually too.  Each of the two panels is held to a tenth of
-    ``quad_tol``.
+    by the adaptive Gauss-Kronrod rule of ``caslens.quadrature``, one
+    ``integrate`` call per spherical piece: the whole lens, or the bubble's
+    cap or the pit's floor and then the lens beyond the seam rho = r, so
+    the seam's slope kink is always a piece boundary.  Each piece runs in
+    a variable w in [0, 1] in which 1/z is linear (``_pieces``): at T = 0
+    the integrand is then a quadratic, and each piece one 21-node panel.
+    At T > 0 a piece that passes the gap where the kernel switches series
+    is cut there.  Each piece is held to a tenth of ``quad_tol``.
 
     At quad_tol = 1e-12 it matches ``force(profile, a, T, "full")``, the
-    exact PFA by parts, within 1e-10 relative on most profiles of every
-    kind, but not on all: on some pits, and on a bubble at a = 1.3e-12 m,
-    it raises QuadratureError, and on a pit at a = 1.5e-12 m and a bubble
-    at a = 8.5e-11 m it returns a value off ``full`` without one.  The
-    known cases are pinned in ``FULL_QUADRATURE_DISAGREEMENTS`` in
+    exact PFA by parts, within 1e-10 relative wherever the by-parts terms
+    do not cancel, and no profile that builds is known on which it raises
+    QuadratureError.  Where the two disagree, as on a perfect lens far
+    thinner than its gap, a 40-digit reference sides with the quadrature;
+    the known cases are pinned in ``FULL_QUADRATURE_DISAGREEMENTS`` in
     ``tests/test_pfa.py``.
     """
     _validate_point(a, T, profile.R)
     check_finite("quad_tol", quad_tol, TOLERANCE)
-    panel_tol = max(0.1 * quad_tol, MIN_REL_TOL)  # a tenth each; 0.1 * 5e-324 is 0
-    height = height_function(profile, a)  # single-valued, as every profile has D <= R
-    extent = lateral_extent(profile)  # >= sqrt(D R) >= 1e-12 m, as D <= R
-    if profile.kind is LensKind.PERFECT:
-        split = min(math.sqrt(profile.R * a), 0.5 * extent)
-    else:
-        split = min(_footprint_radius(profile), 0.5 * extent)
-
-    # P_pp at each gap z <= a + D1 + D, which needs no domain check.
-    def inner(rho: float) -> float:
-        return rho * _plate_kernel(height(rho), T)[1]
-
-    def outer(v: float) -> float:
-        rho = min(math.exp(v), extent)
-        return rho * rho * _plate_kernel(height(rho), T)[1]
-
-    inner_value, inner_error, _ = integrate(inner, 0.0, split, rel_tol=panel_tol)
-    lo, hi = math.log(split), math.log(extent)
-    outer_value, outer_error, _ = integrate(outer, lo, hi, rel_tol=panel_tol,
-                                            points=_outer_breakpoints(lo, hi))
-    signed = 2.0 * math.pi * (inner_value + outer_value)
-    achieved = 2.0 * math.pi * (inner_error + outer_error)
+    piece_tol = max(0.1 * quad_tol, MIN_REL_TOL)  # a tenth each; 0.1 * 5e-324 is 0
+    signed = achieved = 0.0
+    for f, points in _pieces(profile, a, T):
+        value, error, _ = integrate(f, 0.0, 1.0, rel_tol=piece_tol, points=points)
+        signed += value
+        achieved += error
+    signed *= _TWO_PI
+    achieved *= _TWO_PI
     if signed != 0.0 and achieved > quad_tol * abs(signed):
         raise QuadratureError(
             f"PFA quadrature reached {achieved / abs(signed):.3e} relative "

@@ -56,6 +56,7 @@ closed series and is kept deliberately independent.
 from __future__ import annotations
 
 import math
+import sys
 
 from .constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from .exceptions import (LENGTH, TEMPERATURE, ConvergenceError, QuadratureError, _Fields,
@@ -71,6 +72,7 @@ _FOUR_PI_SQ = 4.0 * _PI_SQ
 _F_NORM = 45.0 / math.pi**4  # f = _F_NORM * tau * B
 _P_NORM = 15.0 / math.pi**4  # p = _P_NORM * tau * (2B - tau B')
 _G_NORM = 90.0 / math.pi**4  # g = _G_NORM * tau * S
+_PI4_OVER_45 = math.pi**4 / 45.0  # 2 zeta(4)
 #: zeta(3)/2, the classical (tau -> inf) floor of the bracket B.
 _BRACKET_FLOOR = 0.5 * ZETA3
 #: -pi^2 hbar c, multiplied in the order of every F_pp, P_pp and E_pp product.
@@ -260,7 +262,10 @@ def free_energy_pp_oracle(z: float, T: float, *, l_max: int = 100_000) -> FreeEn
     analytic tail beyond it, so no range is infinite.  The sum stops once
     a geometric tail bound drops below 1e-12 of the accumulated value;
     running past l_max raises instead of silently truncating.  An l_max
-    that is not an integer >= 1 is refused before any quadrature runs.
+    that is not an integer >= 1 is refused before any quadrature runs, and
+    so is a sum whose tail bound after l_max exceeds the tolerance of every
+    total it can reach (ConvergenceError): at tau = 1.6e-4 with the default
+    l_max, the sum needs about 34/tau indices and is refused at once.
     """
     if not isinstance(l_max, int) or l_max < 1:
         raise ValueError(f"l_max must be an integer >= 1, got {l_max!r}")
@@ -273,20 +278,32 @@ def free_energy_pp_oracle(z: float, T: float, *, l_max: int = 100_000) -> FreeEn
     if one_minus_x == 0.0:
         raise ValueError(f"tau={t!r} is too small for the thermal sum: "
                          "1 - e^(-tau) rounds to 0")
+
+    def tail(nxt: int) -> float:
+        # |integral(m)| <= (1+m)e^(-m) / (1-e^(-m)), summed geometrically
+        # over the indices j >= nxt; it falls with nxt.
+        x_pow = math.exp(-t * nxt)
+        return (
+            x_pow / one_minus_x
+            + t * x_pow * (nxt * one_minus_x + x) / one_minus_x**2
+        ) / (1.0 - x_pow)
+
+    # Every integral is <= 0, and |integral(m)| falls with m, so |total| never
+    # exceeds zeta(3)/2 + (1/tau) integral_0^inf |integral(m)| dm
+    # = zeta(3)/2 + pi^4/(45 tau); twice that covers the quadratures' own
+    # error.  A tail after l_max above the tolerance of it cannot stop the sum
+    # (beyond sys.maxsize indices the tail is 0: e^(-1000) underflows).
+    if tail(min(l_max, sys.maxsize) + 1) > 2.0 * _ORACLE_TOL * (0.5 * ZETA3 + _PI4_OVER_45 / t):
+        raise ConvergenceError(
+            f"thermal sum cannot converge within l_max={l_max} indices at "
+            f"tau={t:.3e}; raise l_max"
+        )
     total = 0.5 * _momentum_integral(0.0)
     terms = 1
     for l in range(1, l_max + 1):
         total += _momentum_integral(t * l)
         terms += 1
-        # Tail bound: |integral(m)| <= (1+m)e^(-m) / (1-e^(-m)), summed
-        # geometrically over the remaining indices j >= l+1.
-        nxt = l + 1
-        x_pow = math.exp(-t * nxt)
-        geometric = (
-            x_pow / one_minus_x
-            + t * x_pow * (nxt * one_minus_x + x) / one_minus_x**2
-        ) / (1.0 - x_pow)
-        if geometric <= _ORACLE_TOL * abs(total):
+        if tail(l + 1) <= _ORACLE_TOL * abs(total):
             break
     else:
         raise ConvergenceError(

@@ -29,7 +29,7 @@ from caslens import (
 )
 from caslens.constants import LIGHT_SPEED, REDUCED_PLANCK
 from caslens.exceptions import QuadratureError
-from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN
+from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN, height_function
 from caslens.quadrature import integrate
 
 R_BENCH = 0.15
@@ -38,6 +38,7 @@ T_BENCH = 300.0
 BUBBLE_WIDE = LensProfile.bubble(R=R_BENCH, R1=0.25, D1=0.5e-6)
 BUBBLE_NARROW = LensProfile.bubble(R=R_BENCH, R1=0.05, D1=1.0e-6)
 PIT_CASE = LensProfile.pit(R=R_BENCH, R1=0.12, D1=1.0e-6)
+MICRO_PIT = LensProfile.pit(1.0, 1.0e-6, 1.0e-6)
 
 # Benchmark ratio tables at a = 1.0, 1.5, 2.0, 2.5, 3.0 um and T = 300 K.
 BENCH_SEPARATIONS = (1.0e-6, 1.5e-6, 2.0e-6, 2.5e-6, 3.0e-6)
@@ -187,13 +188,31 @@ def test_quadrature_with_injected_constant_kernel(monkeypatch):
     # With P(z) = -1 the surface integral collapses to the projected area.
     monkeypatch.setattr("caslens.pfa._plate_kernel",
                         lambda z, T: (math.nan, -1.0, math.nan, math.nan, 0))
-    profile = LensProfile.perfect(R=R_BENCH)
-    result = force_general(profile, 1.0e-6, T_BENCH)
-    expected = -math.pi * lateral_extent(profile) ** 2
-    assert_allclose(result.value, expected, rtol=1.0e-9)
+    for profile in (LensProfile.perfect(R=R_BENCH), BUBBLE_WIDE, PIT_CASE):
+        result = force_general(profile, 1.0e-6, T_BENCH)
+        expected = -math.pi * lateral_extent(profile) ** 2
+        assert_allclose(result.value, expected, rtol=1.0e-9)
 
 
-MICRO_PIT = LensProfile.pit(1.0, 1.0e-6, 1.0e-6)
+@pytest.mark.parametrize("profile", [LensProfile.perfect(R_BENCH), BUBBLE_WIDE, BUBBLE_NARROW,
+                                     PIT_CASE, MICRO_PIT],
+                         ids=["perfect", "bubble-wide", "bubble-narrow", "pit", "micro-pit"])
+def test_quadrature_follows_the_height_profile(monkeypatch, profile):
+    # The pieces build their gaps from (a, D, R1, D1) alone; with P(z) = -1/z^2
+    # their integral is QUADPACK's over rho of lens.height_function's gaps.
+    quad = pytest.importorskip("scipy.integrate").quad
+    a = 1.0e-6
+    monkeypatch.setattr("caslens.pfa._plate_kernel",
+                        lambda z, T: (math.nan, -1.0 / (z * z), math.nan, math.nan, 0))
+    height = height_function(profile, a)
+    edges = [0.0, lateral_extent(profile)]
+    if profile.kind is not LensKind.PERFECT:
+        edges.insert(1, derive_geometry(profile).r)
+    expected = sum(quad(lambda rho: -2.0 * math.pi * rho / height(rho) ** 2, lo, hi,
+                        epsabs=0.0, epsrel=1.0e-13, limit=300)[0]
+                   for lo, hi in zip(edges, edges[1:]))
+    result = force_general(profile, a, T_BENCH, quad_tol=1.0e-12)
+    assert_allclose(result.value, expected, rtol=1.0e-11)
 
 
 @pytest.mark.parametrize("a, magnitude", [(1.0e-12, 2.723e9), (1.0e-10, 2.723e3)])
@@ -209,13 +228,13 @@ def test_quadrature_matches_full_on_the_micro_pit_at_one_nanometre():
     assert_allclose(quadrature, full, rtol=1.0e-10)
 
 
-@pytest.mark.xfail(raises=QuadratureError, strict=True,
-                   reason="FOUND in CHANGES.md: force_general stops at 300 subintervals "
-                          "on [0, 1e-6] for a hemispherical micro-pit at gaps <= 1e-10 m; "
-                          "the domain is not narrowed to hide it, and full serves it")
 @pytest.mark.parametrize("a", [1.0e-12, 1.0e-10])
 def test_quadrature_serves_the_micro_pit_at_the_smallest_gaps(a):
-    force(MICRO_PIT, a, 300.0, "quadrature")
+    # The floor's gap runs from a + D1 down to the rim gap a itself, which a
+    # gap computed from rho loses once rho rounds to r.
+    full = force(MICRO_PIT, a, 300.0, "full").magnitude
+    quadrature = force(MICRO_PIT, a, 300.0, "quadrature", tol=1.0e-12).magnitude
+    assert_allclose(quadrature, full, rtol=1.0e-10)
 
 
 def test_quadrature_refuses_a_lens_without_lateral_extent():
@@ -475,19 +494,35 @@ def test_quadrature_takes_one_kernel_call_per_evaluation(monkeypatch, kernel_gap
 
     monkeypatch.setattr(pfa, "integrate", counted)
     force(profile, 1.0e-6, T_BENCH, "quadrature")
-    assert len(evaluations) == 2
+    # One integrate call per spherical piece: the lens, or a cap or floor and the lens.
+    assert len(evaluations) == (1 if profile.kind is LensKind.PERFECT else 2)
     assert len(kernel_gaps) == sum(evaluations) > 0
 
 
 @pytest.mark.parametrize("profile, budget", [
-    (LensProfile.perfect(R_BENCH), 126),
-    (BUBBLE_WIDE, 126),
-    (PIT_CASE, 168),
+    (LensProfile.perfect(R_BENCH), 42),
+    (BUBBLE_WIDE, 105),
+    (PIT_CASE, 63),
 ])
 def test_quadrature_stays_within_its_kernel_call_budget(kernel_gaps, profile, budget):
-    # With one initial outer panel instead of breakpoints it took 168, 168 and 210.
+    # Integrated in rho and then in ln rho, it took up to 126, 126 and 168.
     force(profile, 1.0e-6, T_BENCH, "quadrature")
     assert len(kernel_gaps) <= budget
+
+
+@pytest.mark.parametrize("a", [1.0e-7, 1.0e-6, 1.0e-5, 1.0e-4])
+@pytest.mark.parametrize("profile, calls", [
+    (LensProfile.perfect(R_BENCH), 21),
+    (BUBBLE_WIDE, 42),
+    (BUBBLE_NARROW, 42),
+    (PIT_CASE, 42),
+], ids=["perfect", "bubble-wide", "bubble-narrow", "pit"])
+def test_quadrature_takes_one_21_node_panel_per_piece_at_zero_temperature(kernel_gaps, profile,
+                                                                          calls, a):
+    # At T = 0 each piece's integrand is a quadratic in w, which K21 integrates
+    # exactly; integrated in rho and then in ln rho, these took 63 to 420.
+    force(profile, a, 0.0, "quadrature")
+    assert len(kernel_gaps) == calls
 
 
 @pytest.mark.parametrize("a", [1.0e-6, 2.0e-6, 3.0e-6])
@@ -560,40 +595,37 @@ def _built_lenses(draw):
 #: Built profiles on which ``full`` and ``quadrature`` at quad_tol 1e-12 do not
 #: agree within 1e-10 (FOUND in CHANGES.md), each with the error it raises
 #: here and the method that the 40-digit ``reference.force_reference`` at
-#: T = 0 convicts.  The first is ROADMAP item 3's named exemption, a
-#: QuadratureError on a pit at a <= 3e-12 m; the others lie outside it.  On
-#: every row but the last the reference puts ``full`` within 2.2e-16, so the
-#: QuadratureErrors are ``quadrature``'s, and so are the two silent values:
-#: on the 3e-5 pit ``quadrature`` is 3.05e-5 off the reference, and on the
-#: bubble 4.69e-8 off, the same at T = 0 and 300 K (its footprint radius r
-#: exceeds half the lens extent, so the seam kink at rho = r lies inside the
-#: first outer panel).  On the thin perfect lens ``full`` is 5.6e-11 off the
+#: T = 0 convicts.  On the thin perfect lens ``full`` is 5.6e-11 off the
 #: reference, within its own 1e-9 bound but not within 1e-10, and
-#: ``quadrature`` is within 7e-16: there the by-parts terms cancel.
+#: ``quadrature`` is within 2.2e-16: there the by-parts terms cancel.
 FULL_QUADRATURE_DISAGREEMENTS = {
-    "pit-a-1.5e-12-no-convergence": (
-        LensProfile.pit(0.5, 6.5e-4, 7.6e-6, D=6.3e-3), 1.5e-12, 0.0, QuadratureError,
-        "quadrature"),
-    "pit-a-1.1e-10-no-convergence": (
-        LensProfile.pit(2.0, 3.9e-2, 6.2e-4, D=7.9e-2), 1.1e-10, 0.0, QuadratureError,
-        "quadrature"),
-    "pit-a-4.2e-9-no-convergence": (
-        LensProfile.pit(8.9e4, 14.0, 6.2e-3, D=8.4e-3), 4.2e-9, 300.0, QuadratureError,
-        "quadrature"),
-    "bubble-a-1.3e-12-no-convergence": (
-        LensProfile.bubble(1.0e-4, 12.0, 1.2e-11, D=5.0e-5), 1.3e-12, 300.0, QuadratureError,
-        "quadrature"),
-    "pit-a-1.5e-12-3e-5-off": (
-        LensProfile.pit(27483.651602469054, 0.05935436814461252, 0.012473720207729471,
-                        D=6.051968791172717e-08),
-        1.4662585461929144e-12, 0.0, AssertionError, "quadrature"),
-    "bubble-a-8.5e-11-4.7e-8-off": (
-        LensProfile(LensKind.BUBBLE, 0.00017192943732642887, 1.7614357312086106e-09,
-                    0.0013073935323327495, 9.74103398420565e-11),
-        8.475870308569837e-11, 0.0, AssertionError, "quadrature"),
     "thin-perfect-1.2e-10-off": (
         LensProfile.perfect(4.24015317948679, 6.85613430194986e-11),
         2.8230128620302183e-05, 300.0, AssertionError, "full"),
+}
+
+#: Built profiles on which ``quadrature`` once raised QuadratureError
+#: (``*-no-convergence``) or returned a value off the reference without one
+#: (``*-off``): on pits and a bubble at gaps down to 1.3e-12 m, and on a bubble
+#: whose footprint radius exceeds half the lens extent.  On each of them the
+#: reference puts ``full`` within 2.2e-16.
+QUADRATURE_SETTLED = {
+    "pit-a-1.5e-12-no-convergence": (
+        LensProfile.pit(0.5, 6.5e-4, 7.6e-6, D=6.3e-3), 1.5e-12, 0.0),
+    "pit-a-1.1e-10-no-convergence": (
+        LensProfile.pit(2.0, 3.9e-2, 6.2e-4, D=7.9e-2), 1.1e-10, 0.0),
+    "pit-a-4.2e-9-no-convergence": (
+        LensProfile.pit(8.9e4, 14.0, 6.2e-3, D=8.4e-3), 4.2e-9, 300.0),
+    "bubble-a-1.3e-12-no-convergence": (
+        LensProfile.bubble(1.0e-4, 12.0, 1.2e-11, D=5.0e-5), 1.3e-12, 300.0),
+    "pit-a-1.5e-12-3e-5-off": (
+        LensProfile.pit(27483.651602469054, 0.05935436814461252, 0.012473720207729471,
+                        D=6.051968791172717e-08),
+        1.4662585461929144e-12, 0.0),
+    "bubble-a-8.5e-11-4.7e-8-off": (
+        LensProfile(LensKind.BUBBLE, 0.00017192943732642887, 1.7614357312086106e-09,
+                    0.0013073935323327495, 9.74103398420565e-11),
+        8.475870308569837e-11, 0.0),
 }
 
 
@@ -608,15 +640,27 @@ def test_full_matches_quadrature_where_they_are_found_to_disagree(profile, a, T)
     _assert_full_matches_quadrature(profile, a, T)
 
 
-# The property fails on each row above, so it is a strict xfail that starts
-# from the silent 3e-5 pit; it passes once every row passes.
+@pytest.mark.parametrize("name", QUADRATURE_SETTLED)
+def test_quadrature_settles_the_rows_it_once_failed(name):
+    pytest.importorskip("mpmath")
+    from reference import force_reference
+
+    profile, a, T = QUADRATURE_SETTLED[name]
+    _assert_full_matches_quadrature(profile, a, T)
+    quadrature = force_general(profile, a, 0.0, quad_tol=1.0e-12).value
+    assert abs(quadrature / force_reference(profile, a) - 1.0) <= 1.0e-14
+
+
+# The property fails on each row of FULL_QUADRATURE_DISAGREEMENTS, so it is a
+# strict xfail that starts from the thin perfect lens; it passes once every
+# row passes.
 @pytest.mark.xfail(raises=(AssertionError, QuadratureError), strict=True,
                    reason="FOUND in CHANGES.md: full and quadrature disagree on "
                           "FULL_QUADRATURE_DISAGREEMENTS")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           report_multiple_bugs=False,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@example(case=FULL_QUADRATURE_DISAGREEMENTS["pit-a-1.5e-12-3e-5-off"][:3])
+@example(case=FULL_QUADRATURE_DISAGREEMENTS["thin-perfect-1.2e-10-off"][:3])
 @given(case=_built_lenses())
 def test_full_matches_quadrature_on_every_profile_that_builds(case):
     _assert_full_matches_quadrature(*case)

@@ -307,6 +307,24 @@ def test_oracle_reports_truncation_instead_of_lying():
         free_energy_pp_oracle(1.0e-6, 300.0, l_max=3)
 
 
+def test_oracle_refuses_a_sum_that_cannot_converge_before_any_quadrature():
+    # tau = 1.6e-4: the sum needs about 34/tau = 2e5 indices, past the default l_max.
+    start = time.process_time()
+    with pytest.raises(ConvergenceError, match="cannot converge within l_max=100000"):
+        free_energy_pp_oracle(1.0e-6, 0.03)
+    assert time.process_time() - start < 0.1
+
+
+@pytest.mark.parametrize("z, T", [(1.0e-6, 300.0), (1.0e-7, 300.0), (1.0e-5, 30.0)])
+def test_oracle_serves_a_sum_that_stops_at_l_max_itself(z, T):
+    # The refusal before any quadrature never takes a sum that would stop in time.
+    served = free_energy_pp_oracle(z, T)
+    indices = served.terms_used - 1  # index 0 is summed before the loop
+    assert free_energy_pp_oracle(z, T, l_max=indices) == served
+    with pytest.raises(ConvergenceError):
+        free_energy_pp_oracle(z, T, l_max=indices - 1)
+
+
 def test_failed_momentum_quadrature_is_a_convergence_error(monkeypatch):
     def exhausted(*args, **kwargs):
         raise QuadratureError("stopped at 300 subintervals")

@@ -1,13 +1,13 @@
 """The adaptive Gauss-Kronrod rule against QUADPACK (scipy.integrate.quad).
 
-The panels are the ones caslens integrates: the inner and log-space outer
-panels of ``force_general`` and the momentum integral of the thermal-sum
-oracle, which ends where its exact analytic tail takes over.  Every range
-is finite; an infinite end is refused before any panel runs.  On smooth
-panels the rule must take exactly QUADPACK's bisections.
-``force_general`` starts the outer panel from geometric breakpoints; with
-them it is compared in value with QUADPACK's QAGP, which extrapolates and
-so takes other bisections.
+The panels are the ones caslens integrates: the pieces of ``force_general``,
+one w-panel on [0, 1] per spherical piece of the lens, and the momentum
+integral of the thermal-sum oracle, which ends where its exact analytic tail
+takes over.  Every range is finite; an infinite end is refused before any
+panel runs.  On smooth panels the rule must take exactly QUADPACK's
+bisections.  A piece that passes the gap where the plate kernel switches
+series carries a breakpoint there; with it the piece is compared in value
+with QUADPACK's QAGP, which extrapolates and so takes other bisections.
 The log-space separation integral of F_pp is no caslens panel: it is the
 quadrature reference for the closed antiderivative that
 ``force_perfect_full`` uses.
@@ -18,16 +18,7 @@ import math
 import pytest
 
 from caslens import pfa
-from caslens import (
-    LensKind,
-    LensProfile,
-    NumericalError,
-    derive_geometry,
-    free_energy_pp,
-    lateral_extent,
-    pressure_pp,
-)
-from caslens.lens import height_function
+from caslens import LensProfile, NumericalError, free_energy_pp
 from caslens.plates import _ANALYTIC_TAIL_MIN, _momentum_integrand, _plate_kernel
 from caslens.quadrature import integrate
 
@@ -59,38 +50,30 @@ def assert_matches_quadpack(quad, f, lo, hi, rel_tol, *, same_count=True, points
 
 
 def pfa_panels(profile, a):
-    """force_general's two panels: (integrand, lo, hi, breakpoints)."""
-    height = height_function(profile, a)
-    extent = lateral_extent(profile)
-    if profile.kind is LensKind.PERFECT:
-        split = min(math.sqrt(profile.R * a), 0.5 * extent)
-    else:
-        split = min(derive_geometry(profile).r, 0.5 * extent)
-
-    def inner(rho):
-        return rho * pressure_pp(height(rho), T)
-
-    def outer(v):
-        rho = min(math.exp(v), extent)
-        return rho * rho * pressure_pp(height(rho), T)
-
-    lo, hi = math.log(split), math.log(extent)
-    return (inner, 0.0, split, ()), (outer, lo, hi, pfa._outer_breakpoints(lo, hi))
+    """force_general's pieces, each a w-panel: (integrand, 0, 1, its z_T breakpoint)."""
+    return [(f, 0.0, 1.0, points) for f, points in pfa._pieces(profile, a, T)]
 
 
 @pytest.mark.parametrize("a", SEPARATIONS)
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_pfa_panels_match_quadpack(quad, name, a):
-    for f, lo, hi, _ in pfa_panels(PROFILES[name], a):
+    # The kernel's two series are one smooth function, so a piece needs no
+    # breakpoint for its value, only to keep each series on its own panels.
+    panels = pfa_panels(PROFILES[name], a)
+    assert len(panels) == (1 if name == "perfect" else 2)
+    for f, lo, hi, _ in panels:
         assert_matches_quadpack(quad, f, lo, hi, 1.0e-10)
 
 
 @pytest.mark.parametrize("a", SEPARATIONS)
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_outer_panel_with_its_breakpoints_matches_qagp(quad, name, a):
-    _, (f, lo, hi, points) = pfa_panels(PROFILES[name], a)
-    assert points
-    assert_matches_quadpack(quad, f, lo, hi, 1.0e-10, same_count=False, points=points)
+    # At 300 K the gap z_T = hbar c / (2 k_B T) = 3.8 um, where the kernel
+    # switches series, lies inside one or two pieces of each case.
+    cut = [(f, lo, hi, points) for f, lo, hi, points in pfa_panels(PROFILES[name], a) if points]
+    assert cut
+    for f, lo, hi, points in cut:
+        assert_matches_quadpack(quad, f, lo, hi, 1.0e-10, same_count=False, points=points)
 
 
 @pytest.mark.parametrize("a", SEPARATIONS)
