@@ -3,10 +3,10 @@
 # check, headed by an echo of its title.  Run it with `caslens` on PATH, from
 # any directory: it writes err.txt, run.cfg, budget.cfg, quadrature.csv,
 # full.csv, pit-quadrature.csv, pit-full.csv, perfect-quadrature.csv,
-# perfect-full.csv, from-config.csv, from-flags.csv, pressure.csv,
-# ratio.csv, errors.txt and lens.txt there, and finds README.md and the
-# golden table next to itself.  Any failing command ends the run with its
-# exit status.
+# perfect-full.csv, thin-quadrature.csv, thin-full.csv, from-config.csv,
+# from-flags.csv, pressure.csv, ratio.csv, errors.txt and lens.txt there,
+# and finds README.md and the golden table next to itself.  Any failing
+# command ends the run with its exit status.
 set -e
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
@@ -46,10 +46,15 @@ caslens force --method full --R 15cm --a-list 1um,3um
 echo "== Exact perfect-lens PFA by parts, at zero temperature"
 caslens force --method full --R 15cm --a-list 1um,3um --T 0
 
-echo "== Exact PFA of a thin perfect lens; a lens too thin for it is refused"
+echo "== Exact PFA of a thin perfect lens"
 caslens force --method full --R 15cm --D 1cm --a-list 1um,3um
+
+echo "== Quadrature command, within 1e-9 of the exact PFA: a lens far thinner than its gap"
+quadrature_matches_full thin- --R 15cm --D 1e-12m
+
+echo "== A lens thickness outside the served domain is refused with one error line"
 code=0
-caslens force --method full --R 15cm --D 1e-12m --a-list 1um,3um \
+caslens force --method full --R 15cm --D 1e-13m --a-list 1um,3um \
   2> err.txt || code=$?
 cat err.txt
 test "$code" -eq 1

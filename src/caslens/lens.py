@@ -162,9 +162,10 @@ def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
 
     The seam geometry is computed once, so the returned function can be
     called at many radii; it does not check that rho lies in
-    [0, lateral_extent(profile)].  ``pfa.force_general`` does not call it:
-    it builds the gap of each spherical piece from the same lengths, and
-    the tests check the two against each other.  The profile's D <= R and
+    [0, lateral_extent(profile)].  ``pfa`` does not call it: its piece
+    table, which ``full`` and ``quadrature`` share, builds the gap of each
+    spherical piece from the same lengths, and the tests check the two
+    against each other.  The profile's D <= R and
     D1 <= R1 keep z(rho) single-valued, and its footprint lies inside the
     lens.
 

@@ -2,24 +2,25 @@
 
 Each annulus of the lens at local separation z(rho) contributes the
 parallel-plate pressure over its area:  F = 2 pi integral rho P_pp(z(rho)) drho.
-Every profile here is piecewise spherical.  On a piece of radius R_i,
-rho drho = (R_i - h) dh, so the integral goes by parts into F = F_pp(z, T)
-and its antiderivative E = E_pp(z, T) (from ``plates._plate_kernel``) at the
-ends of the pieces.  Every method but ``quadrature`` is then a term list,
-2 pi sum c_i K(z_i) with K = F or E.  With r the footprint radius of a
-bubble or pit and s = R - sqrt(R^2 - r^2) the lens sagitta over it:
+Every profile here is piecewise spherical (``_spheres``).  On a piece of
+radius R_i, rho drho = (R_i - h) dh, and the gap runs linearly in h from g0
+at h_lo to g1 at h_hi, so the integral goes by parts into F = F_pp(z, T) and
+its antiderivative E = E_pp(z, T) (from ``plates._plate_kernel``) at the
+ends of the pieces.  The closed forms are term lists, 2 pi sum c_i K(z_i)
+with K = F or E:
 
     simplified     R F(a)
     bubble         (R - R1) F(a + D1) + R1 F(a)
     pit            (R - R1) F(a) + R1 F(a + D1)
-    full, perfect  R F(a) - (R - D) F(a + D) - E(a) + E(a + D)
-    full, bubble   R1 F(a) + (R - R1 + D1 - s) F(a + D1) - (R - D) F(z_e)
-                   - E(a) + E(z_e),         z_e = a + D1 - s + D
-    full, pit      (R + R1 - D1 - s) F(a) - R1 F(a + D1) - (R - D) F(z_e)
-                   - E(a + D1) + E(z_e),    z_e = a - s + D
 
-where z_e is the gap at the lens edge.  ``full`` is exact within the PFA
-for every kind.  The simplified and bubble forms drop terms of order
+and ``full`` sums, over the pieces, with sigma the sign of g1 - g0,
+
+    sigma [(R_i - h_lo) F(g0) - (R_i - h_hi) F(g1)] - E(g0) + E(g1).
+
+On a piece thinner than a tenth of its smallest gap those terms cancel, so
+``full`` sums it by one 21-point Kronrod panel of ``quadrature``'s
+integrand instead, which is exact at T = 0.  ``full`` is exact within the
+PFA for every kind.  The simplified and bubble forms drop terms of order
 (a, D1)/R, about 1e-5 for micrometer gaps and centimeter lenses; the pit
 form is the tabulated one (see ``force_pit``).  ``quadrature``, which
 integrates rho P_pp over each spherical piece numerically, is the cross-check.
@@ -36,10 +37,10 @@ from .exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, Quadrat
                          _Fields, _Record, check_finite)
 from .lens import LensKind, LensProfile, _cap_height, _footprint_radius
 from .plates import _plate_kernel
-from .quadrature import MIN_REL_TOL, integrate
+from .quadrature import MIN_REL_TOL, _kronrod21, integrate
 
 #: Default relative tolerance for the PFA quadrature, and the accuracy bound
-#: every term-list sum must meet.
+#: every closed-form sum must meet.
 DEFAULT_QUAD_TOL = 1.0e-9
 
 #: Relative accuracy of each plate-kernel value (tested against mpmath).
@@ -49,6 +50,9 @@ _KERNEL_ACCURACY = 2.0e-15
 _CLOSED_FORM_RATIO_LIMIT = 1.0e-2
 
 _TWO_PI = 2.0 * math.pi
+
+#: ``full`` sums a piece thinner than this share of its smallest gap by one K21 panel.
+_THIN = 0.1
 
 #: Which kernel value a term takes: its index in the ``_plate_kernel`` tuple of its gap.
 _F, _E = 0, 2
@@ -149,31 +153,15 @@ def _closed_force(kind: LensKind, a: float, T: float, R: float, R1: float = 0.0,
     return ForceResult(-_sum(terms, T, a, thin), True, method, a, T, warning)
 
 
-def _terms(kind: LensKind, R: float, R1: float, D1: float, D: float, s: float) -> tuple:
-    """The term list ((c_i, _F or _E, z_i - a), ...) of ``full`` on ``kind``,
-    with s the lens sagitta over a bubble or pit (0 on a perfect lens).
-    F terms come before E terms; that order is the order of the sum, and so
-    fixes its rounding."""
-    if kind is LensKind.PERFECT:
-        return ((R, _F, 0.0), (D - R, _F, D), (-1.0, _E, 0.0), (1.0, _E, D))
-    if kind is LensKind.PIT:
-        edge = D - s
-        return ((R + R1 - D1 - s, _F, 0.0), (-R1, _F, D1), (D - R, _F, edge),
-                (-1.0, _E, D1), (1.0, _E, edge))
-    edge = D1 - s + D
-    return ((R1, _F, 0.0), (R - R1 + D1 - s, _F, D1), (D - R, _F, edge),
-            (-1.0, _E, 0.0), (1.0, _E, edge))
-
-
-def _sum(terms: tuple, T: float, a: float, thin: tuple[str, float],
+def _sum(terms: tuple, T: float, a: float, thin: tuple[str, float] | None = None,
          kernel: dict | None = None) -> float:
     """The signed force 2 pi sum c_i K(a + offset_i) of a term list, with one
     kernel call per distinct gap, shared through ``kernel`` (gap ->
     ``_plate_kernel`` tuple) by lists at the same a, and no domain check: a
     gap may exceed 1e5 m.
-    Each K is within 2e-15 of exact, so the sum is within 2e-15 sum |t_i|; a
-    sum that is not negative, or whose bound exceeds DEFAULT_QUAD_TOL of it,
-    is a ValueError naming ``thin``."""
+    Each K is within 2e-15 of exact, so the sum is within 2e-15 sum |t_i|.
+    A closed form names ``thin``: there a sum that is not negative, or whose
+    bound exceeds DEFAULT_QUAD_TOL of it, is a ValueError naming it."""
     if kernel is None:
         kernel = {}
     total = bound = 0.0
@@ -186,20 +174,19 @@ def _sum(terms: tuple, T: float, a: float, thin: tuple[str, float],
         total += term
         bound += abs(term)
     # One term keeps the rounding the simplified form always had, (2 pi R) F_pp(a).
-    signed = _TWO_PI * total if len(terms) > 1 else _TWO_PI * c * values[k]
-    if not (total < 0.0 and _KERNEL_ACCURACY * bound <= DEFAULT_QUAD_TOL * -total):
-        name, value = thin
-        raise ValueError(f"{name}={value!r} is too thin against a={a!r}: the PFA terms "
-                         f"cancel to worse than {DEFAULT_QUAD_TOL:g} relative accuracy")
-    return signed
+    signed = _TWO_PI * total if len(terms) != 1 else _TWO_PI * c * values[k]
+    if thin is None or (total < 0.0 and _KERNEL_ACCURACY * bound <= DEFAULT_QUAD_TOL * -total):
+        return signed
+    name, value = thin
+    raise ValueError(f"{name}={value!r} is too thin against a={a!r}: the PFA terms "
+                     f"cancel to worse than {DEFAULT_QUAD_TOL:g} relative accuracy")
 
 
 def force_perfect_full(a: float, T: float, R: float, D: float | None = None) -> ForceResult:
     """``force(LensProfile.perfect(R, D), a, T, "full")``: the exact PFA force
-    on a perfect lens of thickness D (default R, a hemisphere), by parts.
-    For D << a the terms cancel, and a D too thin for the 1e-9 bound is
-    refused: at a = 1 um, 300 K and R = 15 cm, D = 1e-11 m is served and
-    D = 1e-12 m is not.
+    on a perfect lens of thickness D (default R, a hemisphere), by parts,
+    or, for D below a tenth of a, where the by-parts terms cancel, by one
+    21-point Kronrod panel: every D of the domain is served.
     """
     return force(LensProfile.perfect(R, D), a, T, ForceMethod.PERFECT_FULL)
 
@@ -239,50 +226,53 @@ def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult
     return _closed_force(LensKind.PIT, a, T, R, R1, D1)
 
 
-def _pieces(profile: LensProfile, a: float, T: float) -> list[tuple]:
-    """``force_general``'s pieces: for each spherical piece of the profile,
-    its integrand over w in [0, 1] and its breakpoints.
+def _spheres(profile: LensProfile, a: float) -> tuple:
+    """The piece table: (R_i - h_hi, dh, g0, g1) for each spherical piece of
+    the profile, the whole lens, or the cap or floor from its apex to the
+    seam rho = r and then the lens beyond.
 
     On a piece of a sphere of radius R_i, rho drho = (R_i - h) dh with h the
     sagitta of that sphere, h runs over [h_hi - dh, h_hi], and the gap runs
-    linearly in h from g0 to g1.  In w, 1/z runs linearly between them:
-    with den = (1 - w) g1 + w g0,
+    linearly in h from g0 to g1.  Every length here is a sum of non-negative
+    lengths of the profile (a, D1, D - s with s the lens sagitta over the
+    seam, R1 - D1 and R - D), so no gap and no R_i - h is a difference that
+    cancels: a pit's floor reaches its rim gap a exactly, which a gap
+    computed from rho cannot resolve once rho rounds to r.
+    """
+    R, D = profile.R, profile.D
+    if profile.kind is LensKind.PERFECT:
+        return ((R - D, D, a, a + D),)
+    R1, D1 = profile.R1, profile.D1
+    rise = D - _cap_height(R, _footprint_radius(profile))
+    apex, seam = (a, a + D1) if profile.kind is LensKind.BUBBLE else (a + D1, a)
+    return ((R1 - D1, D1, apex, seam), (R - D, rise, seam, seam + rise))
+
+
+def _piece(lever: float, dh: float, g0: float, g1: float, T: float) -> tuple:
+    """A piece of the ``_spheres`` table as an integrand over w in [0, 1],
+    with its breakpoints.
+
+    In w, 1/z runs linearly from 1/g0 to 1/g1: with den = (1 - w) g1 + w g0,
 
         z = g0 g1 / den,   R_i - h = (R_i - h_hi) + dh (1 - w) g1 / den,
         dh/dw = g0 g1 dh / den^2,
 
     so at T = 0, where P ~ z^-4, the integrand (R_i - h) P(z) dh/dw is a
-    quadratic in w, which one 21-node panel integrates exactly.  Every
-    length here is a sum of non-negative lengths of the profile (a, D1,
-    D - s with s the lens sagitta over the seam, R1 - D1 and R - D), so no
-    gap and no R_i - h is a difference that cancels: a pit's floor reaches
-    its rim gap a exactly, which a gap computed from rho cannot resolve
-    once rho rounds to r.  Where the piece passes z_T, the gap at which
-    tau = 2 pi and the kernel switches series, w_T is a breakpoint.
+    quadratic in w, which one 21-node panel integrates exactly.  Where the
+    piece passes z_T, the gap at which tau = 2 pi and the kernel switches
+    series, w_T is a breakpoint.
     """
-    R, D = profile.R, profile.D
-    if profile.kind is LensKind.PERFECT:
-        spheres = ((R - D, D, a, a + D),)
-    else:
-        # The cap or floor, from its apex to the seam rho = r, then the lens beyond.
-        R1, D1 = profile.R1, profile.D1
-        rise = D - _cap_height(R, _footprint_radius(profile))
-        apex, seam = (a, a + D1) if profile.kind is LensKind.BUBBLE else (a + D1, a)
-        spheres = ((R1 - D1, D1, apex, seam), (R - D, rise, seam, seam + rise))
+
+    # P_pp at each gap z <= a + D1 + D, which needs no domain check.
+    def f(w: float, lever=lever, slope=dh * g1, g0=g0, g1=g1, g0g1=g0 * g1,
+          jacobian=g0 * g1 * dh, T=T, kernel=_plate_kernel) -> float:
+        u = 1.0 - w
+        den = u * g1 + w * g0
+        return (lever + slope * u / den) * kernel(g0g1 / den, T)[1] * jacobian / (den * den)
+
     z_T = _Z_T_TIMES_T / T if T > 0.0 else math.nan
-    pieces = []
-    for lever, dh, g0, g1 in spheres:
-
-        # P_pp at each gap z <= a + D1 + D, which needs no domain check.
-        def f(w: float, lever=lever, slope=dh * g1, g0=g0, g1=g1, g0g1=g0 * g1,
-              jacobian=g0 * g1 * dh, T=T, kernel=_plate_kernel) -> float:
-            u = 1.0 - w
-            den = u * g1 + w * g0
-            return (lever + slope * u / den) * kernel(g0g1 / den, T)[1] * jacobian / (den * den)
-
-        w_T = g1 * (z_T - g0) / (z_T * (g1 - g0)) if min(g0, g1) < z_T < max(g0, g1) else 0.0
-        pieces.append((f, (w_T,) if 0.0 < w_T < 1.0 else ()))
-    return pieces
+    w_T = g1 * (z_T - g0) / (z_T * (g1 - g0)) if min(g0, g1) < z_T < max(g0, g1) else 0.0
+    return f, (w_T,) if 0.0 < w_T < 1.0 else ()
 
 
 def force_general(
@@ -299,24 +289,21 @@ def force_general(
     ``integrate`` call per spherical piece: the whole lens, or the bubble's
     cap or the pit's floor and then the lens beyond the seam rho = r, so
     the seam's slope kink is always a piece boundary.  Each piece runs in
-    a variable w in [0, 1] in which 1/z is linear (``_pieces``): at T = 0
+    a variable w in [0, 1] in which 1/z is linear (``_piece``): at T = 0
     the integrand is then a quadratic, and each piece one 21-node panel.
     At T > 0 a piece that passes the gap where the kernel switches series
     is cut there.  Each piece is held to a tenth of ``quad_tol``.
 
     At quad_tol = 1e-12 it matches ``force(profile, a, T, "full")``, the
-    exact PFA by parts, within 1e-10 relative wherever the by-parts terms
-    do not cancel, and no profile that builds is known on which it raises
-    QuadratureError.  Where the two disagree, as on a perfect lens far
-    thinner than its gap, a 40-digit reference sides with the quadrature;
-    the known cases are pinned in ``FULL_QUADRATURE_DISAGREEMENTS`` in
-    ``tests/test_pfa.py``.
+    exact PFA, within 1e-10 relative, and no profile that builds is known
+    on which the two disagree or on which it raises QuadratureError.
     """
     _validate_point(a, T, profile.R)
     check_finite("quad_tol", quad_tol, TOLERANCE)
     piece_tol = max(0.1 * quad_tol, MIN_REL_TOL)  # a tenth each; 0.1 * 5e-324 is 0
     signed = achieved = 0.0
-    for f, points in _pieces(profile, a, T):
+    for sphere in _spheres(profile, a):
+        f, points = _piece(*sphere, T)
         value, error, _ = integrate(f, 0.0, 1.0, rel_tol=piece_tol, points=points)
         signed += value
         achieved += error
@@ -347,7 +334,7 @@ def force(
     checked when it was built, so no method refuses it for its shape.
     ``tol`` reaches only ``quadrature``; None keeps its default.
     """
-    kind, R, D, R1, D1 = profile.kind, profile.R, profile.D, profile.R1, profile.D1
+    kind, R, R1, D1 = profile.kind, profile.R, profile.R1, profile.D1
     perfect = kind is LensKind.PERFECT
     closed = _closed(kind, R, R1, D1)[0]
     method = closed if method is None else ForceMethod(method)
@@ -355,9 +342,16 @@ def force(
         return force_general(profile, a, T, quad_tol=DEFAULT_QUAD_TOL if tol is None else tol)
     if method is ForceMethod.PERFECT_FULL:
         _validate_point(a, T, R)
-        r = 0.0 if perfect else _footprint_radius(profile)  # a perfect lens: no footprint
-        terms = _terms(kind, R, R1, D1, D, _cap_height(R, r))
-        return ForceResult(-_sum(terms, T, a, ("lens thickness D", D)), True, method, a, T)
+        terms, kronrod = [], 0.0  # by-parts terms, summed at a = 0 with the gaps as offsets
+        for lever, dh, g0, g1 in _spheres(profile, a):
+            if dh < _THIN * min(g0, g1):  # by parts, its terms would cancel
+                kronrod += _kronrod21(_piece(lever, dh, g0, g1, T)[0], 0.0, 1.0)[0]
+            else:
+                sign = math.copysign(1.0, g1 - g0)
+                terms += ((sign * (lever + dh), _F, g0), (-sign * lever, _F, g1),
+                          (-1.0, _E, g0), (1.0, _E, g1))
+        signed = _sum(terms, T, 0.0) + _TWO_PI * kronrod
+        return ForceResult(-signed, True, method, a, T)
     if method is not closed:
         raise ValueError(f"method {method.value!r} does not serve {kind.value} profiles")
     if perfect:

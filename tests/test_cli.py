@@ -272,8 +272,8 @@ def test_separation_outside_the_float_range_is_usage_error(capsys, argv, separat
 
 @pytest.mark.parametrize("method, thickness", [
     ("quadrature", "5e-324"),   # D (2R - D) rounds to 0: no lateral extent
-    ("full", "1e-300"),         # D + a rounds to a: the by-parts terms cancel
-    ("full", "1e-16"),          # the terms cancel beyond the accuracy bound
+    ("full", "1e-300"),         # below the length domain, which is checked first
+    ("full", "1e-16"),          # below it too: full serves every D inside it
 ])
 def test_vanishing_lens_thickness_is_usage_error(capsys, method, thickness):
     code = main(["force", "--method", method, "--R", "15cm", "--D", thickness,

@@ -105,35 +105,47 @@ def test_full_form_thickness_validation():
 
 
 def test_full_form_refuses_a_thickness_whose_terms_cancel():
-    # D + a would round to a, making R F_pp(a) - (R - D) F_pp(a + D) exactly
-    # 0; D = 1e-300 m lies outside the domain, which is checked first.
+    # D = 1e-300 m lies outside the domain, which is checked first.
     with pytest.raises(ValueError, match=r"lens thickness D=1e-300 lies outside the served "
                                          r"range \[1e-12, 1e5\] m"):
         force_perfect_full(1.0e-6, T_BENCH, R_BENCH, 1.0e-300)
-    # Inside the domain a + D still rounds to a at a = 1e5 m and D = 1e-12 m.
-    with pytest.raises(ValueError, match=r"D=1e-12 is too thin .*cancel"):
-        force_perfect_full(1.0e5, T_BENCH, 1.0e5, 1.0e-12)
+    # Inside the domain a + D rounds to a at a = 1e5 m and D = 1e-12 m, where
+    # R F_pp(a) - (R - D) F_pp(a + D) would cancel; the thin piece's K21 panel serves it.
+    full = force_perfect_full(1.0e5, T_BENCH, 1.0e5, 1.0e-12).value
+    quadrature = force_general(LensProfile.perfect(1.0e5, 1.0e-12), 1.0e5, T_BENCH,
+                               quad_tol=1.0e-12).value
+    assert abs(full / quadrature - 1.0) <= 1.0e-10
 
 
-@pytest.mark.parametrize("D, refusal", [
-    pytest.param(1.0e-12, "is too thin .*1e-09", id="1e-12"),
-    pytest.param(1.0e-16, r"lies outside the served range \[1e-12, 1e5\] m", id="1e-16"),
-    pytest.param(1.0e-20, r"lies outside the served range \[1e-12, 1e5\] m", id="1e-20"),
+@pytest.mark.parametrize("D", [
+    pytest.param(1.0e-16, id="1e-16"),
+    pytest.param(1.0e-20, id="1e-20"),
 ])
-def test_full_form_refuses_a_thickness_beyond_its_accuracy_bound(D, refusal):
-    # 2e-15 sum |t_i| / |bracket| exceeds 1e-9 (6.8e5 x 2e-15 at 1e-12 m);
-    # at 1e-16 and 1e-20 m, which the domain check refuses first, the value
-    # would be 2.8e-7 and 1.4e-2 off.
-    with pytest.raises(ValueError, match=f"D={D!r} {refusal}"):
+def test_full_form_refuses_a_thickness_beyond_its_accuracy_bound(D):
+    # Below the domain, which is checked first.
+    with pytest.raises(ValueError, match=f"D={D!r} lies outside the served range "
+                                         r"\[1e-12, 1e5\] m"):
         force_perfect_full(1.0e-6, T_BENCH, R_BENCH, D)
 
 
-@pytest.mark.parametrize("D", [1.0e-11, 1.0e-9])
+@pytest.mark.parametrize("D", [1.0e-12, 1.0e-11, 1.0e-9])
 def test_full_form_serves_a_thin_lens_within_its_bound(D):
     full = force_perfect_full(1.0e-6, T_BENCH, R_BENCH, D).value
     quadrature = force_general(LensProfile.perfect(R_BENCH, D), 1.0e-6, T_BENCH,
                                quad_tol=1.0e-12).value
-    assert abs(full / quadrature - 1.0) <= 1.0e-9
+    assert abs(full / quadrature - 1.0) <= 1.0e-10
+
+
+@pytest.mark.parametrize("a", [1.0e-9, 1.0e-6, 1.0e-4])
+@pytest.mark.parametrize("thickness", [0.05, 0.0999, 0.1001, 0.2])
+def test_full_form_is_exact_on_both_sides_of_the_thin_threshold(thickness, a):
+    # D/a below 0.1 goes through one K21 panel, above it by parts.
+    pytest.importorskip("mpmath")
+    from reference import force_reference
+
+    profile = LensProfile.perfect(R_BENCH, thickness * a)
+    full = force(profile, a, 0.0, "full").value
+    assert abs(full / force_reference(profile, a) - 1.0) <= 1.0e-14
 
 
 def test_quadrature_matches_full_form_on_perfect_profile():
@@ -463,13 +475,16 @@ def test_full_serves_bubbles_and_pits_by_parts(profile):
     assert abs(result.value / quadrature - 1.0) <= 1.0e-10
 
 
-@pytest.mark.parametrize("profile, calls", [
-    (LensProfile.perfect(R_BENCH), 2),
-    (BUBBLE_WIDE, 3),
-    (PIT_CASE, 3),
+@pytest.mark.parametrize("profile, a, calls", [
+    pytest.param(LensProfile.perfect(R_BENCH), 1.0e-6, 2, id="profile0-2"),
+    pytest.param(BUBBLE_WIDE, 1.0e-6, 3, id="profile1-3"),
+    pytest.param(PIT_CASE, 1.0e-6, 3, id="profile2-3"),
+    # A thin piece is one K21 panel of 21 nodes: the whole lens, or the cap.
+    pytest.param(LensProfile.perfect(R_BENCH, 1.0e-12), 1.0e-6, 21, id="thin-perfect-21"),
+    pytest.param(BUBBLE_WIDE, 1.0e-5, 23, id="bubble-wide-10um-23"),
 ])
-def test_full_takes_one_kernel_call_per_distinct_gap(kernel_gaps, profile, calls):
-    force(profile, 1.0e-6, T_BENCH, "full")
+def test_full_takes_one_kernel_call_per_distinct_gap(kernel_gaps, profile, a, calls):
+    force(profile, a, T_BENCH, "full")
     assert len(kernel_gaps) == len(set(kernel_gaps)) == calls
 
 
@@ -558,13 +573,7 @@ def test_full_matches_quadrature_on_every_kind(kind, R, a, T, D1, footprint):
 
 
 def _assert_full_matches_quadrature(profile, a, T):
-    try:
-        full = force(profile, a, T, "full").value
-    except ValueError as exc:
-        # ``full`` refuses, by name, a lens so thin against a that its terms
-        # cancel past its 1e-9 bound; that is a refusal, not a value.
-        assert "is too thin against" in str(exc)
-        return
+    full = force(profile, a, T, "full").value
     quadrature = force_general(profile, a, T, quad_tol=1.0e-12).value
     assert abs(full / quadrature - 1.0) <= 1.0e-10
 
@@ -592,23 +601,12 @@ def _built_lenses(draw):
     return profile, a, draw(st.sampled_from((0.0, 300.0)))
 
 
-#: Built profiles on which ``full`` and ``quadrature`` at quad_tol 1e-12 do not
-#: agree within 1e-10 (FOUND in CHANGES.md), each with the error it raises
-#: here and the method that the 40-digit ``reference.force_reference`` at
-#: T = 0 convicts.  On the thin perfect lens ``full`` is 5.6e-11 off the
-#: reference, within its own 1e-9 bound but not within 1e-10, and
-#: ``quadrature`` is within 2.2e-16: there the by-parts terms cancel.
-FULL_QUADRATURE_DISAGREEMENTS = {
-    "thin-perfect-1.2e-10-off": (
-        LensProfile.perfect(4.24015317948679, 6.85613430194986e-11),
-        2.8230128620302183e-05, 300.0, AssertionError, "full"),
-}
-
 #: Built profiles on which ``quadrature`` once raised QuadratureError
 #: (``*-no-convergence``) or returned a value off the reference without one
 #: (``*-off``): on pits and a bubble at gaps down to 1.3e-12 m, and on a bubble
-#: whose footprint radius exceeds half the lens extent.  On each of them the
-#: reference puts ``full`` within 2.2e-16.
+#: whose footprint radius exceeds half the lens extent; and the ``thin-*`` rows,
+#: on which ``full`` by parts was off the reference, by 5.6e-11 and 1.0e-11,
+#: because a piece far thinner than its gap cancelled its own terms.
 QUADRATURE_SETTLED = {
     "pit-a-1.5e-12-no-convergence": (
         LensProfile.pit(0.5, 6.5e-4, 7.6e-6, D=6.3e-3), 1.5e-12, 0.0),
@@ -626,65 +624,38 @@ QUADRATURE_SETTLED = {
         LensProfile(LensKind.BUBBLE, 0.00017192943732642887, 1.7614357312086106e-09,
                     0.0013073935323327495, 9.74103398420565e-11),
         8.475870308569837e-11, 0.0),
+    "thin-perfect-1.2e-10-off": (
+        LensProfile.perfect(4.24015317948679, 6.85613430194986e-11),
+        2.8230128620302183e-05, 300.0),
+    "thin-bubble-1.0e-10-off": (
+        LensProfile(LensKind.BUBBLE, 0.009371403154126148, 2.6841807859151745e-10,
+                    0.0008524285497670339, 1.247313112800947e-10),
+        8.805926830279637e-05, 300.0),
 }
-
-
-@pytest.mark.parametrize("profile, a, T", [
-    pytest.param(*case[:3], id=name,
-                 marks=pytest.mark.xfail(raises=case[3], strict=True,
-                                         reason="FOUND in CHANGES.md: full and quadrature "
-                                                "disagree on a profile that builds"))
-    for name, case in FULL_QUADRATURE_DISAGREEMENTS.items()
-])
-def test_full_matches_quadrature_where_they_are_found_to_disagree(profile, a, T):
-    _assert_full_matches_quadrature(profile, a, T)
 
 
 @pytest.mark.parametrize("name", QUADRATURE_SETTLED)
 def test_quadrature_settles_the_rows_it_once_failed(name):
+    # Each row agrees at its own T, and the 40-digit reference at T = 0
+    # puts each method within 1e-14.
     pytest.importorskip("mpmath")
     from reference import force_reference
 
     profile, a, T = QUADRATURE_SETTLED[name]
     _assert_full_matches_quadrature(profile, a, T)
-    quadrature = force_general(profile, a, 0.0, quad_tol=1.0e-12).value
-    assert abs(quadrature / force_reference(profile, a) - 1.0) <= 1.0e-14
+    exact = force_reference(profile, a)
+    for value in (force(profile, a, 0.0, "full").value,
+                  force_general(profile, a, 0.0, quad_tol=1.0e-12).value):
+        assert abs(value / exact - 1.0) <= 1.0e-14
 
 
-# The property fails on each row of FULL_QUADRATURE_DISAGREEMENTS, so it is a
-# strict xfail that starts from the thin perfect lens; it passes once every
-# row passes.
-@pytest.mark.xfail(raises=(AssertionError, QuadratureError), strict=True,
-                   reason="FOUND in CHANGES.md: full and quadrature disagree on "
-                          "FULL_QUADRATURE_DISAGREEMENTS")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           report_multiple_bugs=False,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@example(case=FULL_QUADRATURE_DISAGREEMENTS["thin-perfect-1.2e-10-off"][:3])
+@example(case=QUADRATURE_SETTLED["thin-perfect-1.2e-10-off"])
 @given(case=_built_lenses())
 def test_full_matches_quadrature_on_every_profile_that_builds(case):
     _assert_full_matches_quadrature(*case)
-
-
-@pytest.mark.parametrize("name", FULL_QUADRATURE_DISAGREEMENTS)
-def test_the_reference_convicts_the_named_method_on_each_disagreement(name):
-    pytest.importorskip("mpmath")
-    from reference import force_reference
-
-    profile, a, _T, failure, convicted = FULL_QUADRATURE_DISAGREEMENTS[name]
-    exact = force_reference(profile, a)
-
-    def off(value):
-        return abs(value / exact - 1.0)
-
-    full = off(force(profile, a, 0.0, "full").value)
-    if convicted == "full":
-        assert full > 1.0e-11
-        assert off(force_general(profile, a, 0.0, quad_tol=1.0e-12).value) <= 1.0e-14
-        return
-    assert convicted == "quadrature" and full <= 1.0e-14
-    if failure is AssertionError:  # a silent value, not a QuadratureError
-        assert off(force_general(profile, a, 0.0, quad_tol=1.0e-12).value) > 1.0e-9
 
 
 @pytest.mark.parametrize("R, D, a", [(R_BENCH, R_BENCH, 1.0e-6), (1.0e5, 1.0e5, 1.0e-12),

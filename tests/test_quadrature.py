@@ -51,7 +51,8 @@ def assert_matches_quadpack(quad, f, lo, hi, rel_tol, *, same_count=True, points
 
 def pfa_panels(profile, a):
     """force_general's pieces, each a w-panel: (integrand, 0, 1, its z_T breakpoint)."""
-    return [(f, 0.0, 1.0, points) for f, points in pfa._pieces(profile, a, T)]
+    pieces = (pfa._piece(*sphere, T) for sphere in pfa._spheres(profile, a))
+    return [(f, 0.0, 1.0, points) for f, points in pieces]
 
 
 @pytest.mark.parametrize("a", SEPARATIONS)
