@@ -3,39 +3,44 @@
 # check, headed by an echo of its title.  Run it with `caslens` on PATH, from
 # any directory: it writes err.txt, run.cfg, budget.cfg, quadrature.csv,
 # full.csv, pit-quadrature.csv, pit-full.csv, perfect-quadrature.csv,
-# perfect-full.csv, thin-quadrature.csv, thin-full.csv, from-config.csv,
-# from-flags.csv, pressure.csv, ratio.csv, errors.txt and lens.txt there,
-# and finds README.md and the golden table next to itself.  Any failing
-# command ends the run with its exit status.
+# perfect-full.csv, thin-quadrature.csv, thin-full.csv, nm-quadrature.csv,
+# nm-full.csv, from-config.csv, from-flags.csv, pressure.csv, ratio.csv,
+# errors.txt and lens.txt there, and finds README.md and the golden table
+# next to itself.  Any failing command ends the run with its exit status.
 set -e
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 echo "== Closed-form command, byte-identical to the golden table"
 caslens reproduce-fig2 | cmp - "$root/perfbench/golden/reproduce-fig2.csv"
 
-# Writes <prefix>quadrature.csv and <prefix>full.csv for the profile flags
-# given after the prefix, at a = 1, 2 and 3 um, and fails unless every force
-# of the quadrature lies within 1e-9 of the exact PFA by parts.
+# Usage: quadrature_matches_full PREFIX A_LIST BOUND FLAGS...
+# Writes PREFIXquadrature.csv and PREFIXfull.csv for the profile flags at the
+# separations of A_LIST, and fails unless there is one row per separation and
+# every force of the quadrature lies within BOUND of the exact PFA by parts.
 quadrature_matches_full() {
-  prefix=$1
-  shift
-  caslens force --method quadrature "$@" --a-list 1um,2um,3um > "${prefix}quadrature.csv"
-  caslens force --method full "$@" --a-list 1um,2um,3um > "${prefix}full.csv"
+  prefix=$1 a_list=$2 bound=$3
+  shift 3
+  caslens force --method quadrature "$@" --a-list "$a_list" > "${prefix}quadrature.csv"
+  caslens force --method full "$@" --a-list "$a_list" > "${prefix}full.csv"
   cat "${prefix}quadrature.csv"
-  paste -d, "${prefix}quadrature.csv" "${prefix}full.csv" | awk -F, '
+  paste -d, "${prefix}quadrature.csv" "${prefix}full.csv" |
+    awk -F, -v bound="$bound" -v a_list="$a_list" '
     NR == 1 { ok = $2 == "F_N" && $5 == "F_N"; next }
-    { rel = $2 / $5 - 1; if (rel > 1e-9 || rel < -1e-9) ok = 0; rows++ }
-    END { exit !(ok && rows == 3) }'
+    { rel = $2 / $5 - 1; if (rel > bound || rel < -bound) ok = 0; rows++ }
+    END { exit !(ok && rows == split(a_list, a, ",")) }'
 }
 
 echo "== Quadrature command, within 1e-9 of the exact PFA by parts: Fig. 2 bubble"
-quadrature_matches_full "" --profile bubble --R 15cm --R1 0.25m --D1 0.5um
+quadrature_matches_full "" 1um,2um,3um 1e-9 --profile bubble --R 15cm --R1 0.25m --D1 0.5um
 
 echo "== Quadrature command, within 1e-9 of the exact PFA by parts: Fig. 2 pit"
-quadrature_matches_full pit- --profile pit --R 15cm --R1 12cm --D1 1um
+quadrature_matches_full pit- 1um,2um,3um 1e-9 --profile pit --R 15cm --R1 12cm --D1 1um
 
 echo "== Quadrature command, within 1e-9 of the exact PFA by parts: perfect lens at T = 0"
-quadrature_matches_full perfect- --R 15cm --T 0
+quadrature_matches_full perfect- 1um,2um,3um 1e-9 --R 15cm --T 0
+
+echo "== Quadrature command, within 1e-11 of the exact PFA at a nanometre gap and 300 K"
+quadrature_matches_full nm- 1.24nm 1e-11 --R 15cm --tol 1e-12
 
 echo "== Low-temperature force, served by the dual series"
 caslens force --profile perfect --R 15cm --a-list 0.1um --T 1
@@ -50,7 +55,7 @@ echo "== Exact PFA of a thin perfect lens"
 caslens force --method full --R 15cm --D 1cm --a-list 1um,3um
 
 echo "== Quadrature command, within 1e-9 of the exact PFA: a lens far thinner than its gap"
-quadrature_matches_full thin- --R 15cm --D 1e-12m
+quadrature_matches_full thin- 1um,2um,3um 1e-9 --R 15cm --D 1e-12m
 
 echo "== A lens thickness outside the served domain is refused with one error line"
 code=0

@@ -40,6 +40,7 @@ from caslens.cli import main
 from caslens.exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, NumericalError,
                                 check_finite)
 from caslens.plates import _plate_kernel
+from caslens.quadrature import MIN_REL_TOL
 from test_boundary import ENTRIES
 
 LENGTH_MIN, LENGTH_MAX = LENGTH[:2]
@@ -49,6 +50,10 @@ GAP_MAX = 3.0 * LENGTH_MAX
 #: The entries that may raise NumericalError: the quadratures, and the
 #: thermal-sum oracle, whose ConvergenceError reports a sum cut at l_max.
 NUMERICAL = ("force-quadrature", "force_general", "free_energy_pp_oracle")
+#: The tolerance argument of each quadrature entry, which may raise
+#: NumericalError only when asked for less than MIN_REL_TOL, the tightest
+#: tolerance any panel is held to.
+QUADRATURE_TOL = {"force-quadrature": "tol", "force_general": "quad_tol"}
 
 
 def test_check_finite_names_the_quantity_the_value_and_the_range():
@@ -224,7 +229,8 @@ def _check_result(result, args):
 def _call_within_the_domain_contract(label, entry, kwargs, outside=False):
     """Call entry(**kwargs): a finite result that meets its invariants, or a
     ValueError within 50 ms of CPU time; NumericalError only for the
-    NUMERICAL entries.  With an argument ``outside`` the domain, only the
+    NUMERICAL entries, and from a quadrature only for a tolerance below
+    MIN_REL_TOL.  With an argument ``outside`` the domain, only the
     ValueError will do."""
     start = time.process_time()
     try:
@@ -236,6 +242,8 @@ def _call_within_the_domain_contract(label, entry, kwargs, outside=False):
         return
     except NumericalError:
         assert label in NUMERICAL and not outside
+        tol = QUADRATURE_TOL.get(label)
+        assert tol is None or kwargs[tol] < MIN_REL_TOL, f"{label} failed on {kwargs}"
         return
     assert not outside, f"{label} served {kwargs} with {result!r}"
     _check_result(result, kwargs)
@@ -428,7 +436,8 @@ def test_cli_fuzz_at_the_domain_corners(tmp_path, capsys):
         code = main(argv)
         captured = capsys.readouterr()
         context = f"{argv}: exit {code}, stderr {captured.err!r}"
-        assert code in (0, 1) or (code == 2 and "quadrature" in argv), context
+        assert code in (0, 1) or (code == 2 and "quadrature" in argv and "--tol" in argv
+                                  and float(argv[argv.index("--tol") + 1]) < MIN_REL_TOL), context
         assert not _NOT_FINITE.search(captured.out), f"{context}, stdout {captured.out!r}"
         if code == 1:
             [line] = captured.err.splitlines()

@@ -1,8 +1,10 @@
 """Plate-lens forces: closed forms, direct quadrature and ratio curves."""
 
+import contextlib
 import math
 import re
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from caslens import (
     ratio_curve,
     validate_spec,
 )
-from caslens.constants import LIGHT_SPEED, REDUCED_PLANCK
+from caslens.constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from caslens.exceptions import QuadratureError
 from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN, height_function
 from caslens.quadrature import integrate
@@ -272,7 +274,7 @@ def test_quadrature_requires_single_valued_surface():
 ])
 @pytest.mark.parametrize("tol", [-1.0, -2.0, 0.0, math.nan, math.inf])
 def test_bad_quadrature_tolerance_is_refused_under_its_own_name(call, tol):
-    # Not as the tenth of it that each panel is held to.
+    # As quad_tol, not as the rel_tol that each piece's integrate is handed.
     with pytest.raises(ValueError, match=re.escape(f"quad_tol={tol!r} lies outside the "
                                                    "served range (0, inf)")):
         call(tol)
@@ -280,7 +282,7 @@ def test_bad_quadrature_tolerance_is_refused_under_its_own_name(call, tol):
 
 @pytest.mark.parametrize("tol", [5.0e-324, 1.0e-323, 1.0e-320])
 def test_subnormal_quadrature_tolerance_is_a_quadrature_error(tol):
-    # A tenth of 5e-324 underflows to 0, which no panel could be held to;
+    # Each piece is held to MIN_REL_TOL at the tightest, far above these;
     # a tolerance inside (0, inf) that no quadrature reaches is a NumericalError.
     with pytest.raises(QuadratureError, match="above the requested"):
         force_general(BUBBLE_WIDE, 1.0e-6, T_BENCH, quad_tol=tol)
@@ -498,30 +500,46 @@ def test_closed_forms_take_one_kernel_call_per_distinct_gap(kernel_gaps, profile
     assert len(kernel_gaps) == len(set(kernel_gaps)) == calls
 
 
-@pytest.mark.parametrize("profile", [LensProfile.perfect(R_BENCH), BUBBLE_WIDE, PIT_CASE])
-def test_quadrature_takes_one_kernel_call_per_evaluation(monkeypatch, kernel_gaps, profile):
-    evaluations = []
+@contextlib.contextmanager
+def _piece_integrals():
+    """The (value, error estimate, evaluations) of each ``integrate`` call
+    that pfa makes inside the block: one per spherical piece."""
+    results = []
 
-    def counted(*args, **kwargs):
+    def recorded(*args, **kwargs):
         result = integrate(*args, **kwargs)
-        evaluations.append(result[2])
+        results.append(result)
         return result
 
-    monkeypatch.setattr(pfa, "integrate", counted)
-    force(profile, 1.0e-6, T_BENCH, "quadrature")
+    with mock.patch.object(pfa, "integrate", recorded):
+        yield results
+
+
+@pytest.mark.parametrize("profile", [LensProfile.perfect(R_BENCH), BUBBLE_WIDE, PIT_CASE])
+def test_quadrature_takes_one_kernel_call_per_evaluation(kernel_gaps, profile):
+    with _piece_integrals() as pieces:
+        force(profile, 1.0e-6, T_BENCH, "quadrature")
     # One integrate call per spherical piece: the lens, or a cap or floor and the lens.
-    assert len(evaluations) == (1 if profile.kind is LensKind.PERFECT else 2)
-    assert len(kernel_gaps) == sum(evaluations) > 0
+    assert len(pieces) == (1 if profile.kind is LensKind.PERFECT else 2)
+    assert len(kernel_gaps) == sum(evaluations for _, _, evaluations in pieces) > 0
 
 
-@pytest.mark.parametrize("profile, budget", [
-    (LensProfile.perfect(R_BENCH), 42),
-    (BUBBLE_WIDE, 105),
-    (PIT_CASE, 63),
+@pytest.mark.parametrize("profile, a, budget", [
+    pytest.param(LensProfile.perfect(R_BENCH), 1.0e-6, 42, id="profile0-42"),
+    pytest.param(BUBBLE_WIDE, 1.0e-6, 63, id="profile1-63"),
+    pytest.param(PIT_CASE, 1.0e-6, 63, id="profile2-63"),
+    pytest.param(LensProfile.perfect(R_BENCH), 2.0e-6, 42, id="perfect-2um-42"),
+    pytest.param(LensProfile.perfect(R_BENCH), 3.0e-6, 42, id="perfect-3um-42"),
+    pytest.param(BUBBLE_WIDE, 2.0e-6, 63, id="bubble-wide-2um-63"),
+    pytest.param(BUBBLE_WIDE, 3.0e-6, 63, id="bubble-wide-3um-63"),
+    pytest.param(PIT_CASE, 2.0e-6, 63, id="pit-2um-63"),
+    pytest.param(PIT_CASE, 3.0e-6, 84, id="pit-3um-84"),
 ])
-def test_quadrature_stays_within_its_kernel_call_budget(kernel_gaps, profile, budget):
-    # Integrated in rho and then in ln rho, it took up to 126, 126 and 168.
-    force(profile, 1.0e-6, T_BENCH, "quadrature")
+def test_quadrature_stays_within_its_kernel_call_budget(kernel_gaps, profile, a, budget):
+    # Each piece is held to quad_tol itself.  Held to a tenth of it, these took
+    # 42/84/84, 105/105/105 and 63/105/126 at 1/2/3 um; integrated in rho and
+    # then in ln rho, up to 126, 126 and 168 at 1 um.
+    force(profile, a, T_BENCH, "quadrature")
     assert len(kernel_gaps) <= budget
 
 
@@ -550,6 +568,27 @@ def test_quadrature_matches_full_on_the_fig2_profiles(profile, a):
     assert abs(quadrature / full - 1.0) <= 1.0e-12
 
 
+#: z_T T: below the gap z_T = hbar c / (2 k_B T) the plate kernel sums its dual series.
+Z_T_TIMES_T = REDUCED_PLANCK * LIGHT_SPEED / (2.0 * BOLTZMANN)
+
+
+@pytest.mark.parametrize("T", [3.0, 30.0, 300.0, 3000.0])
+def test_quadrature_error_estimate_holds_down_to_nanometre_gaps(T):
+    # Uncut, a piece's first panel w in [0, w_T] missed a thermal layer about
+    # a/z_T wide: 2e-11 off at a/z_T ~ 3e-4, with an estimate 670 times smaller.
+    rng = np.random.default_rng(32)
+    profiles = (LensProfile.perfect(R_BENCH), PIT_CASE, BUBBLE_WIDE,
+                LensProfile.perfect(R_BENCH, 1.0e-3))
+    for a in Z_T_TIMES_T / T * 10.0 ** rng.uniform(-5.0, 1.0, 40):
+        for profile in profiles:
+            full = force(profile, a, T, "full").value
+            with _piece_integrals() as pieces:
+                quadrature = force_general(profile, a, T, quad_tol=1.0e-12).value
+            assert abs(quadrature / full - 1.0) <= 1.0e-12
+            estimate = 2.0 * math.pi * sum(error for _, error, _ in pieces)
+            assert estimate >= abs(quadrature - full)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(LensKind),
@@ -574,8 +613,12 @@ def test_full_matches_quadrature_on_every_kind(kind, R, a, T, D1, footprint):
 
 def _assert_full_matches_quadrature(profile, a, T):
     full = force(profile, a, T, "full").value
-    quadrature = force_general(profile, a, T, quad_tol=1.0e-12).value
+    with _piece_integrals() as pieces:
+        quadrature = force_general(profile, a, T, quad_tol=1.0e-12).value
     assert abs(full / quadrature - 1.0) <= 1.0e-10
+    # Every piece integrand is <= 0, so the pieces' errors cannot cancel and
+    # each piece may be held to quad_tol itself.
+    assert all(value <= 0.0 for value, _, _ in pieces)
 
 
 @st.composite
@@ -653,6 +696,9 @@ def test_quadrature_settles_the_rows_it_once_failed(name):
           report_multiple_bugs=False,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @example(case=QUADRATURE_SETTLED["thin-perfect-1.2e-10-off"])
+# A bubble over the whole lens: its footprint reaches the lens edge, where the
+# rise of the lens piece beyond the seam once rounded to -1.3e-26 m.
+@example(case=(LensProfile(LensKind.BUBBLE, 100.0, 1.0e-10, 100.0, 1.0e-10), 1.0e-4, 0.0))
 @given(case=_built_lenses())
 def test_full_matches_quadrature_on_every_profile_that_builds(case):
     _assert_full_matches_quadrature(*case)
