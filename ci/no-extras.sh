@@ -66,6 +66,18 @@ test "$code" -eq 1
 test "$(grep -c '^error: ' err.txt)" -eq 1
 if grep -q Traceback err.txt; then exit 1; fi
 
+echo "== A bubble whose closed-form terms cancel is refused by force and ratio with one error line"
+for grid in "force --a-list 4mm" "ratio --a-start 4mm --a-stop 5mm --a-step 0.5mm"; do
+  code=0
+  # $grid is the subcommand and its separations, split into words on purpose.
+  caslens $grid --profile bubble --R 12cm --R1 1e5m --D1 6e-11m 2> err.txt || code=$?
+  cat err.txt
+  test "$code" -eq 1
+  test "$(grep -c '^error: ' err.txt)" -eq 1
+  grep -q 'too thin' err.txt
+  if grep -q Traceback err.txt; then exit 1; fi
+done
+
 echo "== Exact bubble PFA by parts, at the default temperature"
 caslens force --method full --profile bubble --R 15cm \
   --R1 0.25m --D1 0.5um --a-list 1um,3um

@@ -18,7 +18,6 @@ lens over that footprint follow from the chord relations
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from enum import Enum
 
 from .exceptions import LENGTH, TOLERANCE, DegenerateImperfectionError, _Record, check_finite
@@ -154,48 +153,6 @@ def _cap_height(radius: float, rho: float) -> float:
     # Exact spherical sagitta radius - sqrt(radius^2 - rho^2), written in
     # the conjugate form that avoids cancellation for rho << radius.
     return rho * rho / (radius + math.sqrt(radius * radius - rho * rho))
-
-
-def height_function(profile: LensProfile, a: float) -> Callable[[float], float]:
-    """The separation rho -> z between the plate and the lens surface above
-    radius rho, at closest approach a.
-
-    The seam geometry is computed once, so the returned function can be
-    called at many radii; it does not check that rho lies in
-    [0, lateral_extent(profile)].  ``pfa`` does not call it: its piece
-    table, which ``full`` and ``quadrature`` share, builds the gap of each
-    spherical piece from the same lengths, and the tests check the two
-    against each other.  The profile's D <= R and
-    D1 <= R1 keep z(rho) single-valued, and its footprint lies inside the
-    lens.
-
-    The imperfection region and the surrounding lens meet continuously on
-    the seam circle rho = r; the lens-region offset uses the exact sagitta
-    R - sqrt(R^2 - r^2) so the two branches agree there to round-off.
-    """
-    check_finite("closest approach a", a, LENGTH)
-    R = profile.R
-    if profile.kind is LensKind.PERFECT:
-        return lambda rho: a + _cap_height(R, rho)
-    r = _footprint_radius(profile)
-    R1, D1 = profile.R1, profile.D1
-    seam = _cap_height(R, r)
-    if profile.kind is LensKind.BUBBLE:
-        def bubble(rho: float) -> float:
-            if rho <= r:
-                return a + _cap_height(R1, rho)
-            return a + D1 + _cap_height(R, rho) - seam
-
-        return bubble
-
-    # pit: the hollow floor for rho <= r, the undisturbed lens beyond;
-    # closest approach a sits on the seam circle itself.
-    def pit(rho: float) -> float:
-        if rho <= r:
-            return a + D1 - _cap_height(R1, rho)
-        return a + _cap_height(R, rho) - seam
-
-    return pit
 
 
 class SpecCheck(_Record):

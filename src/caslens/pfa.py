@@ -6,11 +6,11 @@ Every profile here is piecewise spherical (``_spheres``).  On a piece of
 radius R_i, rho drho = (R_i - h) dh, and the gap runs linearly in h from g0
 at h_lo to g1 at h_hi, so the integral goes by parts into F = F_pp(z, T) and
 its antiderivative E = E_pp(z, T) (from ``plates._plate_kernel``) at the
-ends of the pieces.  The closed forms are term lists, 2 pi sum c_i K(z_i)
-with K = F or E:
+ends of the pieces.  Each closed form is two weights on F, 2 pi [w_a F(a) +
+w_d F(a + D1)]:
 
     simplified     R F(a)
-    bubble         (R - R1) F(a + D1) + R1 F(a)
+    bubble         R1 F(a) + (R - R1) F(a + D1)
     pit            (R - R1) F(a) + R1 F(a + D1)
 
 and ``full`` sums, over the pieces, with sigma the sign of g1 - g0,
@@ -139,13 +139,13 @@ def _applicability(a: float, R: float, form: str) -> str | None:
 
 
 def _closed(kind: LensKind, R: float, R1: float | None = 0.0, D1: float | None = 0.0) -> tuple:
-    """The closed form of ``kind``: its ForceMethod, whose label names it, its term
-    list and the (name, value) ``_sum`` refuses under; R1, D1 unread if perfect."""
+    """The closed form of ``kind``: its ForceMethod, whose label names it, and
+    its weights on F_pp(a) and F_pp(a + D1), the latter None if perfect."""
     if kind is LensKind.PERFECT:
-        return ForceMethod.PERFECT_SIMPLIFIED, ((R, _F, 0.0),), ("curvature radius R", R)
-    rim, cap = (0.0, D1) if kind is LensKind.PIT else (D1, 0.0)
-    return (ForceMethod(kind.value), ((R - R1, _F, rim), (R1, _F, cap)),
-            ("imperfection depth D1", D1))
+        return ForceMethod.PERFECT_SIMPLIFIED, R, None
+    if kind is LensKind.PIT:
+        return ForceMethod.PIT, R - R1, R1
+    return ForceMethod.BUBBLE, R1, R - R1
 
 
 def _closed_force(kind: LensKind, a: float, T: float, R: float, R1: float = 0.0,
@@ -154,38 +154,40 @@ def _closed_force(kind: LensKind, a: float, T: float, R: float, R1: float = 0.0,
     _validate_point(a, T, R, R1, D1)
     if kind is LensKind.PIT and R1 >= R:
         raise ValueError("a pit requires R1 < R")
-    method, terms, thin = _closed(kind, R, R1, D1)
+    method, w_a, w_d = _closed(kind, R, R1, D1)
     warning = _applicability(a, R, method.value)
-    return ForceResult(-_sum(terms, T, a, thin), True, method, a, T, warning)
+    signed = _closed_sum(w_a, w_d, _plate_kernel(a, T)[_F], a, T, D1)
+    return ForceResult(-signed, True, method, a, T, warning)
 
 
-def _sum(terms: tuple, T: float, a: float, thin: tuple[str, float] | None = None,
-         kernel: dict | None = None) -> float:
-    """The signed force 2 pi sum c_i K(a + offset_i) of a term list, with one
-    kernel call per distinct gap, shared through ``kernel`` (gap ->
-    ``_plate_kernel`` tuple) by lists at the same a, and no domain check: a
-    gap may exceed 1e5 m.
-    Each K is within 2e-15 of exact, so the sum is within 2e-15 sum |t_i|.
-    A closed form names ``thin``: there a sum that is not negative, or whose
-    bound exceeds DEFAULT_QUAD_TOL of it, is a ValueError naming it."""
-    if kernel is None:
-        kernel = {}
-    total = bound = 0.0
-    for c, k, offset in terms:
-        z = a + offset
+def _closed_sum(w_a: float, w_d: float | None, F_a: float, a: float, T: float,
+                D1: float = 0.0) -> float:
+    """The signed closed force 2 pi (w_a F_a + w_d F_pp(a + D1)), with F_a =
+    F_pp(a) given and no domain check; w_d None gives (2 pi w_a) F_a.  Each F
+    is within 2e-15 of exact, so a sum that is not negative, or whose bound
+    2e-15 (|near| + |far|) exceeds DEFAULT_QUAD_TOL of it, is a ValueError."""
+    if w_d is None:
+        return _TWO_PI * w_a * F_a
+    z = a + D1
+    near, far = w_a * F_a, w_d * (F_a if z == a else _plate_kernel(z, T)[_F])
+    total = near + far
+    if total < 0.0 and _KERNEL_ACCURACY * (abs(near) + abs(far)) <= DEFAULT_QUAD_TOL * -total:
+        return _TWO_PI * total
+    raise ValueError(f"imperfection depth D1={D1!r} is too thin against a={a!r}: the PFA terms "
+                     f"cancel to worse than {DEFAULT_QUAD_TOL:g} relative accuracy")
+
+
+def _sum(terms: tuple, T: float) -> float:
+    """The signed force 2 pi sum c_i K(z_i) of ``full``'s by-parts terms
+    (c_i, K's index, z_i), with one kernel call per distinct gap and no
+    domain check: a gap may exceed 1e5 m."""
+    kernel, total = {}, 0.0
+    for c, k, z in terms:
         values = kernel.get(z)
         if values is None:
             values = kernel[z] = _plate_kernel(z, T)
-        term = c * values[k]
-        total += term
-        bound += abs(term)
-    # One term keeps the rounding the simplified form always had, (2 pi R) F_pp(a).
-    signed = _TWO_PI * total if len(terms) != 1 else _TWO_PI * c * values[k]
-    if thin is None or (total < 0.0 and _KERNEL_ACCURACY * bound <= DEFAULT_QUAD_TOL * -total):
-        return signed
-    name, value = thin
-    raise ValueError(f"{name}={value!r} is too thin against a={a!r}: the PFA terms "
-                     f"cancel to worse than {DEFAULT_QUAD_TOL:g} relative accuracy")
+        total += c * values[k]
+    return _TWO_PI * total
 
 
 def force_perfect_full(a: float, T: float, R: float, D: float | None = None) -> ForceResult:
@@ -358,14 +360,13 @@ def force(
     ``tol`` reaches only ``quadrature``; None keeps its default.
     """
     kind, R, R1, D1 = profile.kind, profile.R, profile.R1, profile.D1
-    perfect = kind is LensKind.PERFECT
     closed = _closed(kind, R, R1, D1)[0]
     method = closed if method is None else ForceMethod(method)
     if method is ForceMethod.GENERAL_QUADRATURE:
         return force_general(profile, a, T, quad_tol=DEFAULT_QUAD_TOL if tol is None else tol)
     if method is ForceMethod.PERFECT_FULL:
         _validate_point(a, T, R)
-        terms, kronrod = [], 0.0  # by-parts terms, summed at a = 0 with the gaps as offsets
+        terms, kronrod = [], 0.0
         for lever, dh, g0, g1 in _spheres(profile, a):
             if dh < _THIN * min(g0, g1):  # by parts, its terms would cancel
                 kronrod += _kronrod21(_piece(lever, dh, g0, g1, T)[0], 0.0, 1.0)[0]
@@ -373,11 +374,11 @@ def force(
                 sign = math.copysign(1.0, g1 - g0)
                 terms += ((sign * (lever + dh), _F, g0), (-sign * lever, _F, g1),
                           (-1.0, _E, g0), (1.0, _E, g1))
-        signed = _sum(terms, T, 0.0) + _TWO_PI * kronrod
+        signed = _sum(terms, T) + _TWO_PI * kronrod
         return ForceResult(-signed, True, method, a, T)
     if method is not closed:
         raise ValueError(f"method {method.value!r} does not serve {kind.value} profiles")
-    if perfect:
+    if kind is LensKind.PERFECT:
         return _closed_force(kind, a, T, R)
     # By their module names, which the benchmark's tracer counts closed forces by.
     return (force_pit if kind is LensKind.PIT else force_bubble)(a, T, R, R1, D1)
@@ -387,16 +388,16 @@ def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) ->
     """Force ratio imperfect lens / perfect lens over a separation grid.
 
     Both are ``force``'s default closed forms, the perfect lens the
-    simplified form with the same R.  Their term lists are built once, and
-    each point costs one kernel call per distinct gap (a and a + D1); every
-    ratio equals ``force(profile, a, T).value / force(perfect, a, T).value``
-    bit for bit.  An empty grid gives an empty curve.
+    simplified form with the same R.  Each point reads F_pp(a) once for both,
+    and F_pp(a + D1), and sums each form as ``force`` does: every ratio equals
+    ``force(profile, a, T).value / force(perfect, a, T).value`` bit for bit.
+    An empty grid gives an empty curve.
     """
     if profile.kind is LensKind.PERFECT:
         raise ValueError("ratio curves require a bubble or pit profile")
-    R = profile.R
-    method, imperfect_terms, depth = _closed(profile.kind, R, profile.R1, profile.D1)
-    _, perfect_terms, radius = _closed(LensKind.PERFECT, R)
+    R, D1 = profile.R, profile.D1
+    method, w_a, w_d = _closed(profile.kind, R, profile.R1, D1)
+    _, w_p, _ = _closed(LensKind.PERFECT, R)  # the perfect lens's (2 pi w_p) F_pp(a)
     form = method.value
     grid = tuple(float(s) for s in separations)
     check_finite("temperature", T, TEMPERATURE)
@@ -404,7 +405,6 @@ def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) ->
     for a in grid:
         check_finite("separation a", a, LENGTH)
         _applicability(a, R, form)  # refuses a >= R; a ratio carries no warning
-        kernel: dict = {}
-        imperfect = _sum(imperfect_terms, T, a, depth, kernel)
-        ratios.append(imperfect / _sum(perfect_terms, T, a, radius, kernel))
+        F_a = _plate_kernel(a, T)[_F]
+        ratios.append(_closed_sum(w_a, w_d, F_a, a, T, D1) / _closed_sum(w_p, None, F_a, a, T))
     return RatioCurve(separations=grid, ratios=tuple(ratios))

@@ -117,7 +117,7 @@ def test_every_quadrature_lens_has_lateral_extent(R, D):
 @pytest.mark.parametrize("T", [0.0, TEMPERATURE_MAX])
 def test_term_sums_cannot_overflow(method, a, T):
     # The largest coefficients (2R = 2e5 m) times the largest |F_pp| give a
-    # finite force, so _sum needs no overflow refusal; this also serves
+    # finite force, so neither sum needs an overflow refusal; this also serves
     # a + D = 2e5 m, beyond the largest served length, as a gap.
     result = force(LensProfile.perfect(LENGTH_MAX), a, T, method)
     assert 0.0 < result.magnitude < math.inf and result.attractive

@@ -16,7 +16,7 @@ from caslens import (
     lateral_extent,
     validate_spec,
 )
-from caslens.lens import height_function
+from heights import height_function
 
 BENCHMARK_R = 0.15
 

@@ -31,8 +31,9 @@ from caslens import (
 )
 from caslens.constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from caslens.exceptions import QuadratureError
-from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN, height_function
+from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN
 from caslens.quadrature import integrate
+from heights import height_function
 
 R_BENCH = 0.15
 T_BENCH = 300.0
@@ -213,7 +214,7 @@ def test_quadrature_with_injected_constant_kernel(monkeypatch):
                          ids=["perfect", "bubble-wide", "bubble-narrow", "pit", "micro-pit"])
 def test_quadrature_follows_the_height_profile(monkeypatch, profile):
     # The pieces build their gaps from (a, D, R1, D1) alone; with P(z) = -1/z^2
-    # their integral is QUADPACK's over rho of lens.height_function's gaps.
+    # their integral is QUADPACK's over rho of heights.height_function's gaps.
     quad = pytest.importorskip("scipy.integrate").quad
     a = 1.0e-6
     monkeypatch.setattr("caslens.pfa._plate_kernel",
@@ -328,6 +329,56 @@ def test_closed_form_domain_errors():
         force_bubble(1.0e-6, T_BENCH, R_BENCH, 0.25, -1.0e-6)
     with pytest.raises(ValueError):
         force_bubble(-1.0e-6, T_BENCH, R_BENCH, 0.25, 0.5e-6)
+
+
+#: A bubble whose R1 = 1e5 m outweighs R = 12 cm: at a = 4 mm and 300 K its two
+#: closed-form terms, R1 F_pp(a) and (R - R1) F_pp(a + D1), cancel until their
+#: 2e-15 bound is 3.3e-9 of the sum.
+THIN_BUBBLE = LensProfile.bubble(0.12, 1.0e5, 6.0e-11)
+
+
+@pytest.mark.parametrize("closed", [
+    pytest.param(lambda a: force(THIN_BUBBLE, a, T_BENCH), id="force"),
+    pytest.param(lambda a: force_bubble(a, T_BENCH, 0.12, 1.0e5, 6.0e-11), id="force_bubble"),
+    pytest.param(lambda a: ratio_curve(THIN_BUBBLE, [a], T_BENCH), id="ratio_curve"),
+])
+def test_closed_forms_refuse_a_depth_whose_terms_cancel(closed):
+    with pytest.raises(ValueError, match=re.escape(
+            "imperfection depth D1=6e-11 is too thin against a=0.004: the PFA terms "
+            "cancel to worse than 1e-09 relative accuracy")):
+        closed(4.0e-3)
+
+
+def test_full_and_quadrature_serve_the_depth_the_closed_forms_refuse():
+    full = force(THIN_BUBBLE, 4.0e-3, T_BENCH, "full").value
+    quadrature = force(THIN_BUBBLE, 4.0e-3, T_BENCH, "quadrature", tol=1.0e-12).value
+    assert abs(full / quadrature - 1.0) <= 1.0e-14
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    R=st.floats(min_value=0.01, max_value=1.0),
+    a=st.floats(min_value=0.1e-6, max_value=10.0e-6),
+    T=st.one_of(st.just(0.0), st.floats(min_value=1.0, max_value=1000.0)),
+    radius=st.floats(min_value=0.05, max_value=0.95),
+    depth=st.floats(min_value=1.0e-3, max_value=0.9),
+)
+def test_closed_forms_are_two_weighted_plate_energies(kernel_gaps, R, a, T, radius, depth):
+    # Bit for bit, with the rounding each form has always had, from two kernel
+    # calls for a bubble or pit, and one for the simplified form or a bubble
+    # with D1 = 0, whose two gaps are one.
+    R1, D1 = radius * R, depth * 1.0e-3 * R
+    F_a, F_d = free_energy_pp(a, T).value, free_energy_pp(a + D1, T).value
+    two_pi = 2.0 * math.pi
+    for closed, expected, calls in (
+            (lambda: force_bubble(a, T, R, R1, D1), two_pi * ((R - R1) * F_d + R1 * F_a), 2),
+            (lambda: force_pit(a, T, R, R1, D1), two_pi * ((R - R1) * F_a + R1 * F_d), 2),
+            (lambda: force(LensProfile.perfect(R), a, T), two_pi * R * F_a, 1),
+            (lambda: force_bubble(a, T, R, R1, 0.0), two_pi * ((R - R1) * F_a + R1 * F_a), 1)):
+        kernel_gaps.clear()
+        assert closed().value.hex() == expected.hex()
+        assert len(kernel_gaps) == calls
 
 
 def test_ratio_curve_reproduces_benchmark_tables():
