@@ -5,13 +5,31 @@
 # full.csv, pit-quadrature.csv, pit-full.csv, perfect-quadrature.csv,
 # perfect-full.csv, thin-quadrature.csv, thin-full.csv, nm-quadrature.csv,
 # nm-full.csv, from-config.csv, from-flags.csv, pressure.csv, ratio.csv,
-# errors.txt and lens.txt there, and finds README.md and the golden table
-# next to itself.  Any failing command ends the run with its exit status.
+# errors.txt and lens.txt there, and finds README.md and the golden tables
+# next to itself: perfbench/golden/reproduce-fig2.csv, and in ci/golden
+# fpp-300K.csv, fpp-0K.csv, pressure-300K.csv, pressure-0K.csv, pit-full.csv
+# and pit-quadrature.csv.  Regenerate a golden table only with a change meant
+# to move its digits.  Any failing command ends the run with its exit status.
 set -e
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 echo "== Closed-form command, byte-identical to the golden table"
 caslens reproduce-fig2 | cmp - "$root/perfbench/golden/reproduce-fig2.csv"
+
+echo "== Plate commands, byte-identical to their golden tables, across tau = 2 pi and at T = 0"
+# 1 to 8 um crosses z_T = 3.8 um, where the kernel switches series at 300 K.
+for command in fpp pressure; do
+  caslens $command --a-start 1um --a-stop 8um --a-step 0.5um \
+    | cmp - "$root/ci/golden/$command-300K.csv"
+  caslens $command --a-start 1um --a-stop 8um --a-step 0.5um --T 0 \
+    | cmp - "$root/ci/golden/$command-0K.csv"
+done
+
+echo "== Exact PFA and quadrature on the Fig. 2 pit, byte-identical to their golden tables"
+for method in full quadrature; do
+  caslens force --method $method --profile pit --R 15cm --R1 12cm --D1 1um \
+    --a-list 1um,2um,3um | cmp - "$root/ci/golden/pit-$method.csv"
+done
 
 # Usage: quadrature_matches_full PREFIX A_LIST BOUND FLAGS...
 # Writes PREFIXquadrature.csv and PREFIXfull.csv for the profile flags at the

@@ -5,9 +5,9 @@ parallel-plate pressure over its area:  F = 2 pi integral rho P_pp(z(rho)) drho.
 Every profile here is piecewise spherical (``_spheres``).  On a piece of
 radius R_i, rho drho = (R_i - h) dh, and the gap runs linearly in h from g0
 at h_lo to g1 at h_hi, so the integral goes by parts into F = F_pp(z, T) and
-its antiderivative E = E_pp(z, T) (from ``plates._plate_kernel``) at the
-ends of the pieces.  Each closed form is two weights on F, 2 pi [w_a F(a) +
-w_d F(a + D1)]:
+its antiderivative E = E_pp(z, T) at the ends of the pieces, which one
+``plates._plate_kernel`` call per gap reads together.  Each closed form is
+two weights on F, 2 pi [w_a F(a) + w_d F(a + D1)]:
 
     simplified     R F(a)
     bubble         R1 F(a) + (R - R1) F(a + D1)
@@ -36,7 +36,7 @@ from .constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from .exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, QuadratureError,
                          _Fields, _Record, check_finite)
 from .lens import LensKind, LensProfile, _cap_height, _footprint_radius
-from .plates import _plate_kernel
+from .plates import _E, _F, _P, _plate_kernel
 from .quadrature import _kronrod21, integrate
 
 #: Default relative tolerance for the PFA quadrature, and the accuracy bound
@@ -53,9 +53,6 @@ _TWO_PI = 2.0 * math.pi
 
 #: ``full`` sums a piece thinner than this share of its smallest gap by one K21 panel.
 _THIN = 0.1
-
-#: Which kernel value a term takes: its index in the ``_plate_kernel`` tuple of its gap.
-_F, _E = 0, 2
 
 #: z_T T, where z_T is the gap at which tau = 4 pi z k_B T / (hbar c) = 2 pi:
 #: below it the plate kernel sums the dual series, from it on the direct one.
@@ -156,7 +153,7 @@ def _closed_force(kind: LensKind, a: float, T: float, R: float, R1: float = 0.0,
         raise ValueError("a pit requires R1 < R")
     method, w_a, w_d = _closed(kind, R, R1, D1)
     warning = _applicability(a, R, method.value)
-    signed = _closed_sum(w_a, w_d, _plate_kernel(a, T)[_F], a, T, D1)
+    signed = _closed_sum(w_a, w_d, _plate_kernel(a, T, _F)[_F], a, T, D1)
     return ForceResult(-signed, True, method, a, T, warning)
 
 
@@ -169,7 +166,7 @@ def _closed_sum(w_a: float, w_d: float | None, F_a: float, a: float, T: float,
     if w_d is None:
         return _TWO_PI * w_a * F_a
     z = a + D1
-    near, far = w_a * F_a, w_d * (F_a if z == a else _plate_kernel(z, T)[_F])
+    near, far = w_a * F_a, w_d * (F_a if z == a else _plate_kernel(z, T, _F)[_F])
     total = near + far
     if total < 0.0 and _KERNEL_ACCURACY * (abs(near) + abs(far)) <= DEFAULT_QUAD_TOL * -total:
         return _TWO_PI * total
@@ -185,7 +182,7 @@ def _sum(terms: tuple, T: float) -> float:
     for c, k, z in terms:
         values = kernel.get(z)
         if values is None:
-            values = kernel[z] = _plate_kernel(z, T)
+            values = kernel[z] = _plate_kernel(z, T, _E)
         total += c * values[k]
     return _TWO_PI * total
 
@@ -279,7 +276,7 @@ def _piece(lever: float, dh: float, g0: float, g1: float, T: float) -> tuple:
           jacobian=g0 * g1 * dh, T=T, kernel=_plate_kernel) -> float:
         u = 1.0 - w
         den = u * g1 + w * g0
-        return (lever + slope * u / den) * kernel(g0g1 / den, T)[1] * jacobian / (den * den)
+        return (lever + slope * u / den) * kernel(g0g1 / den, T, _P)[_P] * jacobian / (den * den)
 
     if T == 0.0:
         return f, ()
@@ -405,6 +402,6 @@ def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) ->
     for a in grid:
         check_finite("separation a", a, LENGTH)
         _applicability(a, R, form)  # refuses a >= R; a ratio carries no warning
-        F_a = _plate_kernel(a, T)[_F]
+        F_a = _plate_kernel(a, T, _F)[_F]
         ratios.append(_closed_sum(w_a, w_d, F_a, a, T, D1) / _closed_sum(w_p, None, F_a, a, T))
     return RatioCurve(separations=grid, ratios=tuple(ratios))

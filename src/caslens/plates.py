@@ -42,9 +42,9 @@ and f = p = g = 1 exactly: the standard zero-temperature results
     P_pp(z, 0) = - pi^2 hbar c / (240 z^4)
     E_pp(z, 0) = - pi^2 hbar c / (1440 z^2).
 
-One private function, ``_plate_kernel(z, T)``, sums the series and returns
-F_pp, P_pp and E_pp together; the public entries check z and T and read
-one of them, and ``pfa`` calls it directly for every gap it forms.
+One private function, ``_plate_kernel(z, T, want)``, sums the series once
+and reads from it only what its caller uses: F_pp, P_pp or E_pp with F_pp.
+The public entries check z and T first; ``pfa`` calls it for every gap.
 
 At tau >> 1 the bracket B approaches zeta(3)/2 (classical limit).  A
 brute-force cross-check sums the thermal (Matsubara) series directly,
@@ -72,6 +72,8 @@ _FOUR_PI_SQ = 4.0 * _PI_SQ
 _F_NORM = 45.0 / math.pi**4  # f = _F_NORM * tau * B
 _P_NORM = 15.0 / math.pi**4  # p = _P_NORM * tau * (2B - tau B')
 _G_NORM = 90.0 / math.pi**4  # g = _G_NORM * tau * S
+#: What a ``_plate_kernel`` caller reads, each also its slot in the result.
+_F, _P, _E = 0, 1, 2
 _PI4_OVER_45 = math.pi**4 / 45.0  # 2 zeta(4)
 #: zeta(3)/2, the classical (tau -> inf) floor of the bracket B.
 _BRACKET_FLOOR = 0.5 * ZETA3
@@ -136,9 +138,10 @@ class FreeEnergyAreal(_Fields):
         self.terms_used = terms_used
 
 
-def _plate_kernel(z: float, T: float) -> tuple[float, float, float, float, int]:
-    """F_pp, P_pp and E_pp in SI, the bracket B and the terms summed, for
-    every z > 0 and T >= 0, with no domain check: ``pfa``'s gaps reach 3e5 m.
+def _plate_kernel(z: float, T: float, want: int) -> tuple:
+    """(F_pp, P_pp, E_pp, B, terms summed) in SI for every z > 0 and T >= 0, with
+    no domain check (``pfa``'s gaps reach 3e5 m), and None in each slot ``want``
+    does not read: ``_F`` reads F_pp and B, ``_P`` P_pp, ``_E`` E_pp, F_pp and B.
 
     The loop sums S, DS and D^2 S (D = a d/da) at a = tau or sigma (inf at
     T = 0).  With u = n a, x = e^(-u) and w = 1/(1 - x), term n of each is
@@ -148,9 +151,7 @@ def _plate_kernel(z: float, T: float) -> tuple[float, float, float, float, int]:
     For a >= 2 pi, u w >= 1, so m0 <= m1 <= m2; each of m0, m1, m2 shrinks
     at least by q = e^(-a) from one n to the next.  The remainder of every
     sum after term n is therefore at most m2 q / (1 - q), and the loop stops
-    once that drops below _TAIL_BOUND (at most 6 terms).  Each branch reads
-    the sums into B and f, p and g, which are F_pp, P_pp and E_pp in units
-    of their zero-temperature values.
+    once that drops below _TAIL_BOUND (at most 6 terms), whatever is read.
     """
     t = _tau(z, T)
     direct = t >= _TWO_PI
@@ -172,27 +173,29 @@ def _plate_kernel(z: float, T: float) -> tuple[float, float, float, float, int]:
         if m2 * ratio <= _TAIL_BOUND:
             break
         x *= q
-    s2 += s1  # D^2 S
+    # f, p and g are F_pp, P_pp and E_pp in units of their values at T = 0.  On the
+    # dual side, with the sums at sigma, where tau d/dtau = -D, the duality gives
+    #   tau B             = pi^4/45 + tau^3 [(S - DS)/(4 pi^2) - tau/720]
+    #   tau (2B - tau B') = pi^4/15 + tau^3 [(DS - D^2 S)/(4 pi^2) + tau/720]
+    #   tau S             = pi^4/90 + tau^2 [pi^2/72 + tau (tau/1440 - S/(4 pi^2))].
+    if want == _P:
+        s2 += s1  # D^2 S
+        p = (_P_NORM * t * (2.0 * s0 - 3.0 * s1 + s2) if direct else
+             1.0 + _P_NORM * (t * t * t) * ((s1 - s2) / _FOUR_PI_SQ + t / 720.0))
+        return None, _MINUS_PI_SQ_HBAR_C / (240.0 * z**4) * p, None, None, n
     if direct:
         bracket = s0 - s1
         f = _F_NORM * t * bracket
-        p = _P_NORM * t * (2.0 * s0 - 3.0 * s1 + s2)
-        g = _G_NORM * t * s0
     else:
-        # With the sums at sigma, where tau d/dtau = -D, the duality gives
-        #   tau B             = pi^4/45 + tau^3 [(S - DS)/(4 pi^2) - tau/720]
-        #   tau (2B - tau B') = pi^4/15 + tau^3 [(DS - D^2 S)/(4 pi^2) + tau/720]
-        #   tau S             = pi^4/90 + tau^2 [pi^2/72 + tau (tau/1440 - S/(4 pi^2))].
-        t3 = t * t * t
-        f = 1.0 + _F_NORM * t3 * ((s0 - s1) / _FOUR_PI_SQ - t / 720.0)
-        p = 1.0 + _P_NORM * t3 * ((s1 - s2) / _FOUR_PI_SQ + t / 720.0)
-        g = 1.0 + _G_NORM * t * t * (_PI_SQ / 72.0 + t * (t / 1440.0 - s0 / _FOUR_PI_SQ))
+        f = 1.0 + _F_NORM * (t * t * t) * ((s0 - s1) / _FOUR_PI_SQ - t / 720.0)
         # B = pi^4 f / (45 tau), with 1/tau = sigma / (4 pi^2); +inf at T = 0.
         bracket = _PI_SQ / 180.0 * a * f
-    return (_MINUS_PI_SQ_HBAR_C / (720.0 * z**3) * f,
-            _MINUS_PI_SQ_HBAR_C / (240.0 * z**4) * p,
-            _MINUS_PI_SQ_HBAR_C / (1440.0 * z**2) * g,
-            bracket, n)
+    F = _MINUS_PI_SQ_HBAR_C / (720.0 * z**3) * f
+    if want == _F:
+        return F, None, None, bracket, n
+    g = (_G_NORM * t * s0 if direct else
+         1.0 + _G_NORM * t * t * (_PI_SQ / 72.0 + t * (t / 1440.0 - s0 / _FOUR_PI_SQ)))
+    return F, None, _MINUS_PI_SQ_HBAR_C / (1440.0 * z**2) * g, bracket, n
 
 
 def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
@@ -203,7 +206,7 @@ def free_energy_pp(z: float, T: float) -> FreeEnergyAreal:
     Valid for every T >= 0; at T = 0, f = 1 exactly and the bracket is +inf.
     """
     _check_domain(z, T)
-    F, _, _, bracket, terms = _plate_kernel(z, T)
+    F, _, _, bracket, terms = _plate_kernel(z, T, _F)
     return FreeEnergyAreal(F, bracket, terms)
 
 
@@ -215,7 +218,7 @@ def pressure_pp(z: float, T: float) -> float:
     Negative for all valid inputs (the plates attract).
     """
     _check_domain(z, T)
-    return _plate_kernel(z, T)[1]
+    return _plate_kernel(z, T, _P)[_P]
 
 
 def _momentum_integrand(y: float) -> float:

@@ -39,7 +39,7 @@ from caslens import (
 from caslens.cli import main
 from caslens.exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, NumericalError,
                                 check_finite)
-from caslens.plates import _plate_kernel
+from caslens.plates import _E, _F, _P, _plate_kernel
 from caslens.quadrature import MIN_REL_TOL
 from test_boundary import ENTRIES
 
@@ -79,7 +79,7 @@ def test_kernel_products_stay_in_the_float_range(z, T):
     # -pi^2 hbar c / (divisor z^power) * factor, which plates once guarded
     # with a try/except ArithmeticError, is finite and negative at every
     # corner, the private path's largest gap included.
-    F, P, E = _plate_kernel(z, T)[:3]
+    F, P, E = (_plate_kernel(z, T, want)[want] for want in (_F, _P, _E))
     for value in (F, P, E):
         assert -math.inf < value < 0.0
     if z <= LENGTH_MAX:

@@ -32,6 +32,7 @@ from caslens import (
 from caslens.constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from caslens.exceptions import QuadratureError
 from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN
+from caslens.plates import _E, _F, _P
 from caslens.quadrature import integrate
 from heights import height_function
 
@@ -50,14 +51,28 @@ BENCH_LINE2 = (0.429, 0.507, 0.580, 0.641, 0.689)
 BENCH_LINE3 = (0.314, 0.409, 0.496, 0.570, 0.627)
 
 
+class KernelCalls(list):
+    """The gaps at which pfa calls the plate kernel, in call order; ``wants``
+    holds what each call reads (``_F``, ``_P`` or ``_E``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.wants = []
+
+    def clear(self):
+        super().clear()
+        self.wants.clear()
+
+
 @pytest.fixture
 def kernel_gaps(monkeypatch):
-    """The gaps at which pfa calls the plate kernel, in call order."""
-    kernel, gaps = pfa._plate_kernel, []
+    """The gaps at which pfa calls the plate kernel, and what each reads."""
+    kernel, gaps = pfa._plate_kernel, KernelCalls()
 
-    def counted(z, T):
+    def counted(z, T, want):
         gaps.append(z)
-        return kernel(z, T)
+        gaps.wants.append(want)
+        return kernel(z, T, want)
 
     monkeypatch.setattr(pfa, "_plate_kernel", counted)
     return gaps
@@ -202,7 +217,7 @@ def test_quadrature_integrates_the_pit_profile_faithfully():
 def test_quadrature_with_injected_constant_kernel(monkeypatch):
     # With P(z) = -1 the surface integral collapses to the projected area.
     monkeypatch.setattr("caslens.pfa._plate_kernel",
-                        lambda z, T: (math.nan, -1.0, math.nan, math.nan, 0))
+                        lambda z, T, want: (math.nan, -1.0, math.nan, math.nan, 0))
     for profile in (LensProfile.perfect(R=R_BENCH), BUBBLE_WIDE, PIT_CASE):
         result = force_general(profile, 1.0e-6, T_BENCH)
         expected = -math.pi * lateral_extent(profile) ** 2
@@ -218,7 +233,7 @@ def test_quadrature_follows_the_height_profile(monkeypatch, profile):
     quad = pytest.importorskip("scipy.integrate").quad
     a = 1.0e-6
     monkeypatch.setattr("caslens.pfa._plate_kernel",
-                        lambda z, T: (math.nan, -1.0 / (z * z), math.nan, math.nan, 0))
+                        lambda z, T, want: (math.nan, -1.0 / (z * z), math.nan, math.nan, 0))
     height = height_function(profile, a)
     edges = [0.0, lateral_extent(profile)]
     if profile.kind is not LensKind.PERFECT:
@@ -379,6 +394,7 @@ def test_closed_forms_are_two_weighted_plate_energies(kernel_gaps, R, a, T, radi
         kernel_gaps.clear()
         assert closed().value.hex() == expected.hex()
         assert len(kernel_gaps) == calls
+        assert kernel_gaps.wants == [_F] * calls
 
 
 def test_ratio_curve_reproduces_benchmark_tables():
@@ -442,6 +458,7 @@ def test_ratio_curve_evaluates_each_distinct_gap_once(kernel_gaps, profile):
     grid = (1.0e-6, 1.5e-6, 2.0e-6, 2.5e-6, 3.0e-6)
     ratio_curve(profile, grid, T_BENCH)
     assert len(kernel_gaps) == 2 * len(grid)
+    assert set(kernel_gaps.wants) == {_F}
 
 
 def test_ratio_curve_container_validation():
@@ -528,17 +545,19 @@ def test_full_serves_bubbles_and_pits_by_parts(profile):
     assert abs(result.value / quadrature - 1.0) <= 1.0e-10
 
 
-@pytest.mark.parametrize("profile, a, calls", [
-    pytest.param(LensProfile.perfect(R_BENCH), 1.0e-6, 2, id="profile0-2"),
-    pytest.param(BUBBLE_WIDE, 1.0e-6, 3, id="profile1-3"),
-    pytest.param(PIT_CASE, 1.0e-6, 3, id="profile2-3"),
+@pytest.mark.parametrize("profile, a, calls, panels", [
+    pytest.param(LensProfile.perfect(R_BENCH), 1.0e-6, 2, 0, id="profile0-2"),
+    pytest.param(BUBBLE_WIDE, 1.0e-6, 3, 0, id="profile1-3"),
+    pytest.param(PIT_CASE, 1.0e-6, 3, 0, id="profile2-3"),
     # A thin piece is one K21 panel of 21 nodes: the whole lens, or the cap.
-    pytest.param(LensProfile.perfect(R_BENCH, 1.0e-12), 1.0e-6, 21, id="thin-perfect-21"),
-    pytest.param(BUBBLE_WIDE, 1.0e-5, 23, id="bubble-wide-10um-23"),
+    pytest.param(LensProfile.perfect(R_BENCH, 1.0e-12), 1.0e-6, 21, 1, id="thin-perfect-21"),
+    pytest.param(BUBBLE_WIDE, 1.0e-5, 23, 1, id="bubble-wide-10um-23"),
 ])
-def test_full_takes_one_kernel_call_per_distinct_gap(kernel_gaps, profile, a, calls):
+def test_full_takes_one_kernel_call_per_distinct_gap(kernel_gaps, profile, a, calls, panels):
     force(profile, a, T_BENCH, "full")
     assert len(kernel_gaps) == len(set(kernel_gaps)) == calls
+    # The by-parts gaps read F_pp with E_pp; a K21 panel reads P_pp at its nodes.
+    assert sorted(kernel_gaps.wants) == [_P] * (21 * panels) + [_E] * (calls - 21 * panels)
 
 
 @pytest.mark.parametrize("profile, calls", [
@@ -549,6 +568,7 @@ def test_full_takes_one_kernel_call_per_distinct_gap(kernel_gaps, profile, a, ca
 def test_closed_forms_take_one_kernel_call_per_distinct_gap(kernel_gaps, profile, calls):
     force(profile, 1.0e-6, T_BENCH)
     assert len(kernel_gaps) == len(set(kernel_gaps)) == calls
+    assert kernel_gaps.wants == [_F] * calls
 
 
 @contextlib.contextmanager
@@ -573,6 +593,7 @@ def test_quadrature_takes_one_kernel_call_per_evaluation(kernel_gaps, profile):
     # One integrate call per spherical piece: the lens, or a cap or floor and the lens.
     assert len(pieces) == (1 if profile.kind is LensKind.PERFECT else 2)
     assert len(kernel_gaps) == sum(evaluations for _, _, evaluations in pieces) > 0
+    assert set(kernel_gaps.wants) == {_P}
 
 
 @pytest.mark.parametrize("profile, a, budget", [
@@ -607,6 +628,7 @@ def test_quadrature_takes_one_21_node_panel_per_piece_at_zero_temperature(kernel
     # exactly; integrated in rho and then in ln rho, these took 63 to 420.
     force(profile, a, 0.0, "quadrature")
     assert len(kernel_gaps) == calls
+    assert set(kernel_gaps.wants) == {_P}
 
 
 @pytest.mark.parametrize("a", [1.0e-6, 2.0e-6, 3.0e-6])

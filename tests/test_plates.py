@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ KERNEL_REL_BOUND = 2.0e-15
 #: log-spaced over [1e-8, 1e3], plus both sides of the switch at 2 pi.
 TAU_GRID = [*np.logspace(-8.0, 3.0, 12),
             2.0 * math.pi * (1.0 - 1.0e-12), 2.0 * math.pi * (1.0 + 1.0e-12)]
+
+#: What each kernel mode reads, by slot of (F_pp, P_pp, E_pp, B).
+KERNEL_READS = {plates._F: (0, 3), plates._P: (1,), plates._E: (0, 2, 3)}
+
+
+def kernel_pins():
+    """(z, T, (F, P, E, B) as hex, terms) for each row of plate_kernel_pins.csv."""
+    lines = (Path(__file__).with_name("plate_kernel_pins.csv")
+             .read_text(encoding="utf-8").splitlines())
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    return [pytest.param(float(z), float(T), tuple(values), int(terms), id=f"z={z}-T={T}")
+            for z, T, _, *values, terms in rows]
 
 
 def temperature_for_tau(z, target):
@@ -208,7 +221,7 @@ def test_zero_temperature_dedicated_path():
     assert result.terms_used == 0
     # g(0) is 1.0 exactly, so E_pp takes the closed zero-temperature value.
     closed_integral = -math.pi**2 * REDUCED_PLANCK * LIGHT_SPEED / (1440.0 * z**2)
-    assert plates._plate_kernel(z, 0.0)[2] == closed_integral
+    assert plates._plate_kernel(z, 0.0, plates._E)[plates._E] == closed_integral
 
 
 def assert_kernel_matches_mpmath(target):
@@ -220,7 +233,8 @@ def assert_kernel_matches_mpmath(target):
     assert result.terms_used <= 6
     assert relative_error(result.value, reference_f) <= KERNEL_REL_BOUND
     assert relative_error(pressure_pp(z, T), reference_p) <= KERNEL_REL_BOUND
-    assert relative_error(plates._plate_kernel(z, T)[2], reference_e) <= KERNEL_REL_BOUND
+    E = plates._plate_kernel(z, T, plates._E)[plates._E]
+    assert relative_error(E, reference_e) <= KERNEL_REL_BOUND
 
 
 def test_small_tau_is_served_by_the_dual_series():
@@ -240,11 +254,39 @@ def test_kernel_is_continuous_across_two_pi():
     z = 1.0e-6
     below, above = (temperature_for_tau(z, t) for t in TAU_GRID[-2:])
     reference = [mpmath_plates(mp, z, T) for T in (below, above)]
-    kernel = [(free_energy_pp(z, T).value, pressure_pp(z, T), plates._plate_kernel(z, T)[2])
+    kernel = [(free_energy_pp(z, T).value, pressure_pp(z, T),
+               plates._plate_kernel(z, T, plates._E)[plates._E])
               for T in (below, above)]
     for i in range(3):
         step = (kernel[1][i] - kernel[0][i]) - (reference[1][i] - reference[0][i])
         assert float(abs(step / reference[0][i])) <= 2.0 * KERNEL_REL_BOUND
+
+
+@pytest.mark.parametrize("z, T, pinned, terms", kernel_pins())
+def test_every_kernel_mode_reproduces_its_pinned_bits(z, T, pinned, terms):
+    # Each mode reads its slots bit for bit as the kernel that computed all
+    # four did, leaves the others None, and sums the same terms.
+    for want, reads in KERNEL_READS.items():
+        *values, n = plates._plate_kernel(z, T, want)
+        assert n == terms
+        for slot, value in enumerate(values):
+            if slot in reads:
+                assert value.hex() == pinned[slot]
+            else:
+                assert value is None
+
+
+def test_public_entries_ask_the_kernel_only_for_what_they_return(monkeypatch):
+    kernel, wants = plates._plate_kernel, []
+
+    def recorded(z, T, want):
+        wants.append(want)
+        return kernel(z, T, want)
+
+    monkeypatch.setattr(plates, "_plate_kernel", recorded)
+    free_energy_pp(1.0e-6, 300.0)
+    pressure_pp(1.0e-6, 300.0)
+    assert wants == [plates._F, plates._P]
 
 
 def test_magnitude_strictly_decreases_with_separation():

@@ -19,7 +19,7 @@ import pytest
 
 from caslens import pfa
 from caslens import LensProfile, NumericalError, free_energy_pp
-from caslens.plates import _ANALYTIC_TAIL_MIN, _momentum_integrand, _plate_kernel
+from caslens.plates import _ANALYTIC_TAIL_MIN, _E, _momentum_integrand, _plate_kernel
 from caslens.quadrature import integrate
 
 T = 300.0
@@ -85,7 +85,7 @@ def test_separation_integral_matches_quadpack(quad, a):
 
     assert_matches_quadpack(quad, integrand, math.log(a), math.log(R + a), 1.0e-12)
     integral = integrate(integrand, math.log(a), math.log(R + a), rel_tol=1.0e-12)[0]
-    by_parts = _plate_kernel(a, T)[2] - _plate_kernel(R + a, T)[2]
+    by_parts = _plate_kernel(a, T, _E)[_E] - _plate_kernel(R + a, T, _E)[_E]
     assert abs(by_parts / integral - 1.0) <= 1.0e-12
 
 
