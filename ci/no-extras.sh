@@ -1,17 +1,36 @@
 #!/usr/bin/env bash
 # The command-line checks of a plain install (no extras).  Each block is one
 # check, headed by an echo of its title.  Run it with `caslens` on PATH, from
-# any directory: it writes err.txt, run.cfg, budget.cfg, quadrature.csv,
-# full.csv, pit-quadrature.csv, pit-full.csv, perfect-quadrature.csv,
-# perfect-full.csv, thin-quadrature.csv, thin-full.csv, nm-quadrature.csv,
-# nm-full.csv, from-config.csv, from-flags.csv, pressure.csv, ratio.csv,
-# errors.txt and lens.txt there, and finds README.md and the golden tables
-# next to itself: perfbench/golden/reproduce-fig2.csv, and in ci/golden
-# fpp-300K.csv, fpp-0K.csv, pressure-300K.csv, pressure-0K.csv, pit-full.csv
-# and pit-quadrature.csv.  Regenerate a golden table only with a change meant
-# to move its digits.  Any failing command ends the run with its exit status.
+# any directory: it works in a directory of its own, which it removes on exit,
+# and finds README.md and the golden tables (perfbench/golden and ci/golden)
+# next to itself.  Regenerate a golden table only with a change meant to move
+# its digits.  Any failing command ends the run with its exit status.
 set -e
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+
+# Usage: refuses EXIT PATTERN COMMAND...
+# Runs COMMAND and fails unless it exits with EXIT, 1 or 2, and prints on
+# stderr exactly one "error: " line (EXIT 1) or "numerical failure: " line
+# (EXIT 2), PATTERN when PATTERN is not empty, and no traceback.
+refuses() {
+  expected=$1 pattern=$2
+  shift 2
+  case $expected in
+    1) prefix='error: ' ;;
+    2) prefix='numerical failure: ' ;;
+    *) return 1 ;;
+  esac
+  code=0
+  "$@" 2> err.txt || code=$?
+  cat err.txt
+  test "$code" -eq "$expected"
+  test "$(grep -c "^$prefix" err.txt)" -eq 1
+  if [ -n "$pattern" ]; then grep -q -e "$pattern" err.txt; fi
+  if grep -q Traceback err.txt; then return 1; fi
+}
 
 echo "== Closed-form command, byte-identical to the golden table"
 caslens reproduce-fig2 | cmp - "$root/perfbench/golden/reproduce-fig2.csv"
@@ -76,24 +95,12 @@ echo "== Quadrature command, within 1e-9 of the exact PFA: a lens far thinner th
 quadrature_matches_full thin- 1um,2um,3um 1e-9 --R 15cm --D 1e-12m
 
 echo "== A lens thickness outside the served domain is refused with one error line"
-code=0
-caslens force --method full --R 15cm --D 1e-13m --a-list 1um,3um \
-  2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-if grep -q Traceback err.txt; then exit 1; fi
+refuses 1 '' caslens force --method full --R 15cm --D 1e-13m --a-list 1um,3um
 
 echo "== A bubble whose closed-form terms cancel is refused by force and ratio with one error line"
 for grid in "force --a-list 4mm" "ratio --a-start 4mm --a-stop 5mm --a-step 0.5mm"; do
-  code=0
   # $grid is the subcommand and its separations, split into words on purpose.
-  caslens $grid --profile bubble --R 12cm --R1 1e5m --D1 6e-11m 2> err.txt || code=$?
-  cat err.txt
-  test "$code" -eq 1
-  test "$(grep -c '^error: ' err.txt)" -eq 1
-  grep -q 'too thin' err.txt
-  if grep -q Traceback err.txt; then exit 1; fi
+  refuses 1 'too thin' caslens $grid --profile bubble --R 12cm --R1 1e5m --D1 6e-11m
 done
 
 echo "== Exact bubble PFA by parts, at the default temperature"
@@ -144,109 +151,39 @@ cat lens.txt
 test "$(tail -n 1 lens.txt)" = "overall: PASS"
 
 echo "== A grid of more than 100000 points is refused with exit 1"
-code=0
-caslens fpp --a-start 1um --a-stop 3um --a-step 1e-12 2> err.txt || code=$?
-test "$code" -eq 1
-grep -q 100000 err.txt
+refuses 1 100000 caslens fpp --a-start 1um --a-stop 3um --a-step 1e-12
 
 echo "== A length outside the served domain is refused with one error line"
-code=0
-caslens validate-lens --profile bubble --R 1.7976931348623157e308m \
-  --R1 3um --D1 1e300 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-if grep -q Traceback err.txt; then exit 1; fi
+refuses 1 '' caslens validate-lens --profile bubble --R 1.7976931348623157e308m \
+  --R1 3um --D1 1e300
 
 echo "== A closed bubble form refuses a separation not small against R"
-code=0
-caslens force --profile bubble --R 15cm --R1 25cm --D1 0.5um \
-  --a-list 20cm 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-if grep -q Traceback err.txt; then exit 1; fi
+refuses 1 '' caslens force --profile bubble --R 15cm --R1 25cm --D1 0.5um --a-list 20cm
 
 echo "== Quadrature refuses a footprint wider than the lens, and a bad --tol, with one error line"
-code=0
-caslens force --method quadrature --profile bubble --R 1mm --R1 10m \
-  --D1 0.9um --a-list 1um 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-grep -q footprint err.txt
-if grep -q Traceback err.txt; then exit 1; fi
-code=0
-caslens force --method quadrature --R 15cm --a-list 1um --tol 1e-3x \
-  2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-grep -q -e --tol err.txt
-if grep -q Traceback err.txt; then exit 1; fi
+refuses 1 footprint caslens force --method quadrature --profile bubble --R 1mm --R1 10m \
+  --D1 0.9um --a-list 1um
+refuses 1 --tol caslens force --method quadrature --R 15cm --a-list 1um --tol 1e-3x
 
 echo "== Quadrature that cannot reach --tol exits 2 with one numerical failure line"
-code=0
-caslens force --method quadrature --R 15cm --a-list 1um --tol 1e-16 \
-  2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 2
-test "$(grep -c '^numerical failure: ' err.txt)" -eq 1
-if grep -q Traceback err.txt; then exit 1; fi
+refuses 2 '' caslens force --method quadrature --R 15cm --a-list 1um --tol 1e-16
 
 echo "== Every command meets the lens shape refusals, with one error line"
-code=0
-caslens validate-lens --profile pit --R 1mm --R1 0.9mm --D1 0.9um \
-  --D 1e-9m 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-grep -q footprint err.txt
-if grep -q Traceback err.txt; then exit 1; fi
-code=0
-caslens ratio --profile bubble --R 15cm --R1 0.1um --D1 1um \
-  --a-list 1um,2um 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-grep -q 'no footprint' err.txt
-if grep -q Traceback err.txt; then exit 1; fi
-code=0
-caslens force --method full --R 15cm --D 20cm --a-list 1um 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-grep -q 'D=0.2' err.txt
-if grep -q Traceback err.txt; then exit 1; fi
+refuses 1 footprint caslens validate-lens --profile pit --R 1mm --R1 0.9mm --D1 0.9um \
+  --D 1e-9m
+refuses 1 'no footprint' caslens ratio --profile bubble --R 15cm --R1 0.1um --D1 1um \
+  --a-list 1um,2um
+refuses 1 'D=0.2' caslens force --method full --R 15cm --D 20cm --a-list 1um
 
 echo "== A budget without a positive scatter of the mean is refused with one error line"
 printf 'random_error = 0.05\nsystematic_components = 0.19\nvariance_of_mean = 0\n' > budget.cfg
-code=0
-caslens combine-errors --budget budget.cfg 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-grep -q 'scatter of the mean' err.txt
-if grep -q Traceback err.txt; then exit 1; fi
+refuses 1 'scatter of the mean' caslens combine-errors --budget budget.cfg
 
 echo "== A cap deeper than a hemisphere is refused with one error line"
-code=0
-caslens validate-lens --profile bubble --R 15cm --R1 1um --D1 1.5um \
-  2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-grep -q 'D1=1.5e-06' err.txt
-if grep -q Traceback err.txt; then exit 1; fi
+refuses 1 'D1=1.5e-06' caslens validate-lens --profile bubble --R 15cm --R1 1um --D1 1.5um
 
 echo "== A zero --delta-R is refused with one error line that names the flag"
-code=0
-caslens validate-lens --profile pit --R 15cm --R1 0.12m --D1 1um \
-  --delta-R 0 2> err.txt || code=$?
-cat err.txt
-test "$code" -eq 1
-test "$(grep -c '^error: ' err.txt)" -eq 1
-grep -q -e --delta-R err.txt
-if grep -q Traceback err.txt; then exit 1; fi
+refuses 1 --delta-R caslens validate-lens --profile pit --R 15cm --R1 0.12m --D1 1um \
+  --delta-R 0
 
 echo "== All checks passed"

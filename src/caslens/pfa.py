@@ -32,11 +32,10 @@ import math
 from collections.abc import Iterable
 from enum import Enum
 
-from .constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
 from .exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, QuadratureError,
                          _Fields, _Record, check_finite)
 from .lens import LensKind, LensProfile, _cap_height, _footprint_radius
-from .plates import _E, _F, _P, _plate_kernel
+from .plates import _E, _F, _P, _Z_T_TIMES_T, _plate_kernel
 from .quadrature import _kronrod21, integrate
 
 #: Default relative tolerance for the PFA quadrature, and the accuracy bound
@@ -54,10 +53,6 @@ _TWO_PI = 2.0 * math.pi
 #: ``full`` sums a piece thinner than this share of its smallest gap by one K21 panel.
 _THIN = 0.1
 
-#: z_T T, where z_T is the gap at which tau = 4 pi z k_B T / (hbar c) = 2 pi:
-#: below it the plate kernel sums the dual series, from it on the direct one.
-_Z_T_TIMES_T = REDUCED_PLANCK * LIGHT_SPEED / (2.0 * BOLTZMANN)
-
 #: Gaps, as shares of z_T, at which ``quadrature`` also cuts a piece whose
 #: smallest gap lies more than a decade below them.  There the thermal part
 #: of the integrand turns in a layer about a/z_T wide that one K21 panel and
@@ -74,21 +69,19 @@ class ForceMethod(Enum):
 
 
 class ForceResult(_Fields):
-    """Plate-lens force at one separation.
-
-    The magnitude is reported positive with an explicit attraction flag;
-    ``value`` gives the signed force (negative when attractive).  A plain
+    """Plate-lens force at one separation: ``magnitude`` >= 0 and finite, and
+    ``value`` = -magnitude, as every force attracts.  Each method passes its
+    negated sum, so a sum that is not attractive is refused here.  A plain
     record, built on every force call: not frozen, and unhashable.
     """
 
-    __slots__ = ("magnitude", "attractive", "method", "a", "T", "warning")
+    __slots__ = ("magnitude", "method", "a", "T", "warning")
 
-    def __init__(self, magnitude: float, attractive: bool, method: ForceMethod,
-                 a: float, T: float, warning: str | None = None) -> None:
+    def __init__(self, magnitude: float, method: ForceMethod, a: float, T: float,
+                 warning: str | None = None) -> None:
         if not 0.0 <= magnitude < math.inf:
             raise ValueError(f"force magnitude {magnitude!r} is negative or not finite")
         self.magnitude = magnitude
-        self.attractive = attractive
         self.method = method
         self.a = a
         self.T = T
@@ -96,7 +89,7 @@ class ForceResult(_Fields):
 
     @property
     def value(self) -> float:
-        return -self.magnitude if self.attractive else self.magnitude
+        return -self.magnitude
 
 
 class RatioCurve(_Record):
@@ -116,12 +109,9 @@ class RatioCurve(_Record):
             raise ValueError("force ratios must be strictly positive")
 
 
-def _validate_point(a: float, T: float, R: float, R1: float = 0.0, D1: float = 0.0) -> None:
+def _validate_point(a: float, T: float) -> None:
     check_finite("separation a", a, LENGTH)
     check_finite("temperature", T, TEMPERATURE)
-    check_finite("curvature radius R", R, LENGTH)
-    check_finite("imperfection radius R1", R1, LENGTH_OR_ZERO)
-    check_finite("imperfection depth D1", D1, LENGTH_OR_ZERO)
 
 
 def _applicability(a: float, R: float, form: str) -> str | None:
@@ -135,7 +125,7 @@ def _applicability(a: float, R: float, form: str) -> str | None:
             "PFA form degrades at this separation")
 
 
-def _closed(kind: LensKind, R: float, R1: float | None = 0.0, D1: float | None = 0.0) -> tuple:
+def _closed(kind: LensKind, R: float, R1: float | None = 0.0) -> tuple:
     """The closed form of ``kind``: its ForceMethod, whose label names it, and
     its weights on F_pp(a) and F_pp(a + D1), the latter None if perfect."""
     if kind is LensKind.PERFECT:
@@ -145,16 +135,26 @@ def _closed(kind: LensKind, R: float, R1: float | None = 0.0, D1: float | None =
     return ForceMethod.BUBBLE, R1, R - R1
 
 
-def _closed_force(kind: LensKind, a: float, T: float, R: float, R1: float = 0.0,
-                  D1: float = 0.0) -> ForceResult:
-    """``kind``'s closed form at (a, T): domain, pit R1 < R, a/R rule, sum, result."""
-    _validate_point(a, T, R, R1, D1)
-    if kind is LensKind.PIT and R1 >= R:
-        raise ValueError("a pit requires R1 < R")
-    method, w_a, w_d = _closed(kind, R, R1, D1)
+def _closed_force(kind: LensKind, a: float, T: float, R: float, R1: float | None,
+                  D1: float | None) -> ForceResult:
+    """``kind``'s closed form at (a, T), with no domain check: a/R rule, sum, result."""
+    method, w_a, w_d = _closed(kind, R, R1)
     warning = _applicability(a, R, method.value)
     signed = _closed_sum(w_a, w_d, _plate_kernel(a, T, _F)[_F], a, T, D1)
-    return ForceResult(-signed, True, method, a, T, warning)
+    return ForceResult(-signed, method, a, T, warning)
+
+
+def _raw_closed_force(kind: LensKind, a: float, T: float, R: float, R1: float,
+                      D1: float) -> ForceResult:
+    """The boundary of ``force_bubble`` and ``force_pit``, where R1 or D1 may be
+    0: the domain of each length, then pit R1 < R, then the closed form."""
+    _validate_point(a, T)
+    check_finite("curvature radius R", R, LENGTH)
+    check_finite("imperfection radius R1", R1, LENGTH_OR_ZERO)
+    check_finite("imperfection depth D1", D1, LENGTH_OR_ZERO)
+    if kind is LensKind.PIT and R1 >= R:
+        raise ValueError("a pit requires R1 < R")
+    return _closed_force(kind, a, T, R, R1, D1)
 
 
 def _closed_sum(w_a: float, w_d: float | None, F_a: float, a: float, T: float,
@@ -172,19 +172,6 @@ def _closed_sum(w_a: float, w_d: float | None, F_a: float, a: float, T: float,
         return _TWO_PI * total
     raise ValueError(f"imperfection depth D1={D1!r} is too thin against a={a!r}: the PFA terms "
                      f"cancel to worse than {DEFAULT_QUAD_TOL:g} relative accuracy")
-
-
-def _sum(terms: tuple, T: float) -> float:
-    """The signed force 2 pi sum c_i K(z_i) of ``full``'s by-parts terms
-    (c_i, K's index, z_i), with one kernel call per distinct gap and no
-    domain check: a gap may exceed 1e5 m."""
-    kernel, total = {}, 0.0
-    for c, k, z in terms:
-        values = kernel.get(z)
-        if values is None:
-            values = kernel[z] = _plate_kernel(z, T, _E)
-        total += c * values[k]
-    return _TWO_PI * total
 
 
 def force_perfect_full(a: float, T: float, R: float, D: float | None = None) -> ForceResult:
@@ -206,7 +193,7 @@ def force_bubble(a: float, T: float, R: float, R1: float, D1: float) -> ForceRes
     form (the bubble sphere takes over the whole cap, or has no depth).
     Like that form, it refuses a >= R and warns from a/R = 1e-2 on.
     """
-    return _closed_force(LensKind.BUBBLE, a, T, R, R1, D1)
+    return _raw_closed_force(LensKind.BUBBLE, a, T, R, R1, D1)
 
 
 def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult:
@@ -228,7 +215,7 @@ def force_pit(a: float, T: float, R: float, R1: float, D1: float) -> ForceResult
     R1 = 0 (no pit) reproduces the simplified perfect form exactly; like
     that form, it refuses a >= R and warns from a/R = 1e-2 on.
     """
-    return _closed_force(LensKind.PIT, a, T, R, R1, D1)
+    return _raw_closed_force(LensKind.PIT, a, T, R, R1, D1)
 
 
 def _spheres(profile: LensProfile, a: float) -> tuple:
@@ -321,7 +308,7 @@ def force_general(
     on the lenses tested), and no profile that builds is known on which
     the two disagree or on which it raises QuadratureError.
     """
-    _validate_point(a, T, profile.R)
+    _validate_point(a, T)
     check_finite("quad_tol", quad_tol, TOLERANCE)
     signed = achieved = 0.0
     for sphere in _spheres(profile, a):
@@ -336,7 +323,7 @@ def force_general(
             f"PFA quadrature reached {achieved / abs(signed):.3e} relative "
             f"error, above the requested {quad_tol:.3e}"
         )
-    return ForceResult(abs(signed), signed < 0.0, ForceMethod.GENERAL_QUADRATURE, a, T)
+    return ForceResult(-signed, ForceMethod.GENERAL_QUADRATURE, a, T)
 
 
 def force(
@@ -353,32 +340,37 @@ def force(
     the profile's kind.  ``quadrature`` and ``full`` serve every kind,
     ``simplified`` perfect lenses, and ``bubble`` and ``pit`` their own
     kind; any other pairing is a ValueError.  The profile's shape was
-    checked when it was built, so no method refuses it for its shape.
-    ``tol`` reaches only ``quadrature``; None keeps its default.
+    checked when it was built, so each method checks only a and T (and
+    ``quadrature`` its ``tol``; None keeps its default), and refuses a sum
+    that does not attract through ``ForceResult``.
     """
-    kind, R, R1, D1 = profile.kind, profile.R, profile.R1, profile.D1
-    closed = _closed(kind, R, R1, D1)[0]
+    kind = profile.kind
+    closed = _closed(kind, profile.R)[0]
     method = closed if method is None else ForceMethod(method)
     if method is ForceMethod.GENERAL_QUADRATURE:
         return force_general(profile, a, T, quad_tol=DEFAULT_QUAD_TOL if tol is None else tol)
-    if method is ForceMethod.PERFECT_FULL:
-        _validate_point(a, T, R)
-        terms, kronrod = [], 0.0
-        for lever, dh, g0, g1 in _spheres(profile, a):
-            if dh < _THIN * min(g0, g1):  # by parts, its terms would cancel
-                kronrod += _kronrod21(_piece(lever, dh, g0, g1, T)[0], 0.0, 1.0)[0]
-            else:
-                sign = math.copysign(1.0, g1 - g0)
-                terms += ((sign * (lever + dh), _F, g0), (-sign * lever, _F, g1),
-                          (-1.0, _E, g0), (1.0, _E, g1))
-        signed = _sum(terms, T) + _TWO_PI * kronrod
-        return ForceResult(-signed, True, method, a, T)
-    if method is not closed:
+    if method is not closed and method is not ForceMethod.PERFECT_FULL:
         raise ValueError(f"method {method.value!r} does not serve {kind.value} profiles")
-    if kind is LensKind.PERFECT:
-        return _closed_force(kind, a, T, R)
-    # By their module names, which the benchmark's tracer counts closed forces by.
-    return (force_pit if kind is LensKind.PIT else force_bubble)(a, T, R, R1, D1)
+    _validate_point(a, T)
+    if method is closed:
+        return _closed_force(kind, a, T, profile.R, profile.R1, profile.D1)
+    # F_pp and E_pp at each distinct piece end, unchecked: a gap may exceed 1e5 m.
+    kernel, by_parts, kronrod = {}, 0.0, 0.0
+    for lever, dh, g0, g1 in _spheres(profile, a):
+        if dh < _THIN * min(g0, g1):  # by parts, its terms would cancel
+            kronrod += _kronrod21(_piece(lever, dh, g0, g1, T)[0], 0.0, 1.0)[0]
+            continue
+        for z in (g0, g1):
+            if z not in kernel:
+                kernel[z] = _plate_kernel(z, T, _E)
+        (F0, _, E0, _, _), (F1, _, E1, _, _) = kernel[g0], kernel[g1]
+        sign = math.copysign(1.0, g1 - g0)
+        by_parts += sign * (lever + dh) * F0
+        by_parts -= sign * lever * F1
+        by_parts -= E0
+        by_parts += E1
+    signed = _TWO_PI * by_parts + _TWO_PI * kronrod
+    return ForceResult(-signed, method, a, T)
 
 
 def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) -> RatioCurve:
@@ -393,7 +385,7 @@ def ratio_curve(profile: LensProfile, separations: Iterable[float], T: float) ->
     if profile.kind is LensKind.PERFECT:
         raise ValueError("ratio curves require a bubble or pit profile")
     R, D1 = profile.R, profile.D1
-    method, w_a, w_d = _closed(profile.kind, R, profile.R1, D1)
+    method, w_a, w_d = _closed(profile.kind, R, profile.R1)
     _, w_p, _ = _closed(LensKind.PERFECT, R)  # the perfect lens's (2 pi w_p) F_pp(a)
     form = method.value
     grid = tuple(float(s) for s in separations)

@@ -138,6 +138,11 @@ class FreeEnergyAreal(_Fields):
         self.terms_used = terms_used
 
 
+#: z_T T, where z_T is the gap at which tau = 4 pi z k_B T / (hbar c) = 2 pi:
+#: below it ``_plate_kernel`` sums the dual series, from it on the direct one.
+_Z_T_TIMES_T = REDUCED_PLANCK * LIGHT_SPEED / (2.0 * BOLTZMANN)
+
+
 def _plate_kernel(z: float, T: float, want: int) -> tuple:
     """(F_pp, P_pp, E_pp, B, terms summed) in SI for every z > 0 and T >= 0, with
     no domain check (``pfa``'s gaps reach 3e5 m), and None in each slot ``want``

@@ -19,9 +19,13 @@ def test_no_extras_script_passes_under_bash_e(tmp_path):
     src = str(ROOT / "src")
     env = {**os.environ, "PATH": f"{shims}{os.pathsep}{os.environ.get('PATH', '')}",
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    work = tmp_path / "work"
+    # The script works in a directory of its own under TMPDIR and removes it.
+    work, temp = tmp_path / "work", tmp_path / "tmp"
     work.mkdir()
+    temp.mkdir()
+    env["TMPDIR"] = str(temp)
     run = subprocess.run(["bash", "-e", str(ROOT / "ci" / "no-extras.sh")], cwd=work, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, f"stdout:\n{run.stdout}\nstderr:\n{run.stderr}"
     assert run.stdout.rstrip().endswith("== All checks passed")
+    assert not any(work.iterdir()) and not any(temp.iterdir())

@@ -120,7 +120,7 @@ def test_term_sums_cannot_overflow(method, a, T):
     # finite force, so neither sum needs an overflow refusal; this also serves
     # a + D = 2e5 m, beyond the largest served length, as a gap.
     result = force(LensProfile.perfect(LENGTH_MAX), a, T, method)
-    assert 0.0 < result.magnitude < math.inf and result.attractive
+    assert 0.0 < result.magnitude < math.inf
 
 
 # --- a property over every entry ----------------------------------------------
@@ -203,7 +203,7 @@ def _profiles(draw, kind, outside=None):
 
 def _check_result(result, args):
     if isinstance(result, ForceResult):
-        assert 0.0 < result.magnitude < math.inf and result.attractive
+        assert 0.0 < result.magnitude < math.inf
     elif isinstance(result, FreeEnergyAreal):
         assert -math.inf < result.value < 0.0
     elif isinstance(result, RatioCurve):
@@ -333,7 +333,7 @@ def test_coefficient_tables_load_or_refuse(rows):
 @pytest.mark.parametrize("T", [0.0, TEMPERATURE_MAX])
 def test_the_largest_lens_is_served_at_the_largest_separation(T):
     result = force(LensProfile.perfect(LENGTH_MAX), LENGTH_MAX, T, "full")
-    assert 0.0 < result.magnitude < math.inf and result.attractive
+    assert 0.0 < result.magnitude < math.inf
 
 
 # --- the command line, at the corners and outside them ------------------------

@@ -30,7 +30,7 @@ from caslens import (
     validate_spec,
 )
 from caslens.constants import BOLTZMANN, LIGHT_SPEED, REDUCED_PLANCK
-from caslens.exceptions import QuadratureError
+from caslens.exceptions import QuadratureError, check_finite
 from caslens.lens import FOOTPRINT_DIAMETER_MAX, FOOTPRINT_DIAMETER_MIN
 from caslens.plates import _E, _F, _P
 from caslens.quadrature import integrate
@@ -83,7 +83,6 @@ def test_simplified_form_is_two_pi_r_times_plate_energy():
     result = force(LensProfile.perfect(R_BENCH), a, T_BENCH)
     expected = 2.0 * math.pi * R_BENCH * free_energy_pp(a, T_BENCH).value
     assert_allclose(result.value, expected, rtol=1.0e-15)
-    assert result.attractive
     assert result.magnitude > 0.0
     assert result.value < 0.0
     assert result.method is ForceMethod.PERFECT_SIMPLIFIED
@@ -248,7 +247,7 @@ def test_quadrature_follows_the_height_profile(monkeypatch, profile):
 @pytest.mark.parametrize("a, magnitude", [(1.0e-12, 2.723e9), (1.0e-10, 2.723e3)])
 def test_full_serves_the_micro_pit_at_the_smallest_gaps(a, magnitude):
     result = force(MICRO_PIT, a, 300.0, "full")
-    assert math.isfinite(result.magnitude) and result.attractive
+    assert math.isfinite(result.magnitude)
     assert_allclose(result.magnitude, magnitude, rtol=1.0e-3)
 
 
@@ -472,23 +471,22 @@ def test_ratio_curve_container_validation():
 
 def test_force_result_validation():
     with pytest.raises(ValueError):
-        ForceResult(magnitude=-1.0, attractive=True,
+        ForceResult(magnitude=-1.0,
                     method=ForceMethod.PERFECT_SIMPLIFIED, a=1.0e-6, T=300.0)
 
 
 def test_force_result_is_a_plain_record():
-    by_keyword = ForceResult(magnitude=2.0, attractive=True, method=ForceMethod.BUBBLE,
+    by_keyword = ForceResult(magnitude=2.0, method=ForceMethod.BUBBLE,
                              a=1.0e-6, T=300.0)
-    by_position = ForceResult(2.0, True, ForceMethod.BUBBLE, 1.0e-6, 300.0, None)
+    by_position = ForceResult(2.0, ForceMethod.BUBBLE, 1.0e-6, 300.0, None)
     assert by_keyword == by_position
     assert not by_keyword != by_position
     assert by_keyword.value == -2.0
-    assert by_keyword != ForceResult(2.0, False, ForceMethod.BUBBLE, 1.0e-6, 300.0)
-    assert by_keyword != ForceResult(2.0, True, ForceMethod.PIT, 1.0e-6, 300.0)
-    assert by_keyword != ForceResult(2.0, True, ForceMethod.BUBBLE, 1.0e-6, 300.0, "note")
-    assert by_keyword != (2.0, True, ForceMethod.BUBBLE, 1.0e-6, 300.0, None)
+    assert by_keyword != ForceResult(2.0, ForceMethod.PIT, 1.0e-6, 300.0)
+    assert by_keyword != ForceResult(2.0, ForceMethod.BUBBLE, 1.0e-6, 300.0, "note")
+    assert by_keyword != (2.0, ForceMethod.BUBBLE, 1.0e-6, 300.0, None)
     assert repr(by_position) == (
-        "ForceResult(magnitude=2.0, attractive=True, method=<ForceMethod.BUBBLE: "
+        "ForceResult(magnitude=2.0, method=<ForceMethod.BUBBLE: "
         "'bubble'>, a=1e-06, T=300.0, warning=None)")
 
 
@@ -511,7 +509,7 @@ def test_force_defaults_to_the_closed_form_of_the_profile_kind(kind, R, a, T, ra
     if kind is LensKind.PERFECT:
         profile = LensProfile.perfect(R)
         # (2 pi R) F_pp(a), rounded as the simplified form rounds it; a/R < 1e-2.
-        expected = ForceResult(-(2.0 * math.pi * R * free_energy_pp(a, T).value), True,
+        expected = ForceResult(-(2.0 * math.pi * R * free_energy_pp(a, T).value),
                                ForceMethod.PERFECT_SIMPLIFIED, a, T)
     elif kind is LensKind.BUBBLE:
         profile = LensProfile.bubble(R, R1, D1)
@@ -520,7 +518,7 @@ def test_force_defaults_to_the_closed_form_of_the_profile_kind(kind, R, a, T, ra
         profile = LensProfile.pit(R, R1, D1)
         expected = force_pit(a, T, R, R1, D1)
     result = force(profile, a, T)
-    assert math.isfinite(result.value) and result.value < 0.0 and result.attractive
+    assert math.isfinite(result.value) and result.value < 0.0
     assert result == expected
     assert result.magnitude.hex() == expected.magnitude.hex()
 
@@ -540,7 +538,7 @@ def test_force_method_must_serve_the_profile_kind(profile, method):
 @pytest.mark.parametrize("profile", [BUBBLE_WIDE, BUBBLE_NARROW, PIT_CASE])
 def test_full_serves_bubbles_and_pits_by_parts(profile):
     result = force(profile, 1.0e-6, T_BENCH, "full")
-    assert result.method is ForceMethod.PERFECT_FULL and result.attractive
+    assert result.method is ForceMethod.PERFECT_FULL
     quadrature = force_general(profile, 1.0e-6, T_BENCH, quad_tol=1.0e-12).value
     assert abs(result.value / quadrature - 1.0) <= 1.0e-10
 
@@ -558,6 +556,45 @@ def test_full_takes_one_kernel_call_per_distinct_gap(kernel_gaps, profile, a, ca
     assert len(kernel_gaps) == len(set(kernel_gaps)) == calls
     # The by-parts gaps read F_pp with E_pp; a K21 panel reads P_pp at its nodes.
     assert sorted(kernel_gaps.wants) == [_P] * (21 * panels) + [_E] * (calls - 21 * panels)
+
+
+KINDS = {"perfect": LensProfile.perfect(R_BENCH), "bubble": BUBBLE_WIDE, "pit": PIT_CASE}
+
+
+@pytest.mark.parametrize("method, checked", [
+    (None, ["separation a", "temperature"]),
+    ("full", ["separation a", "temperature"]),
+    ("quadrature", ["separation a", "temperature", "quad_tol"]),
+])
+@pytest.mark.parametrize("profile", KINDS.values(), ids=KINDS.keys())
+def test_force_checks_the_point_but_not_the_built_profile(monkeypatch, profile, method, checked):
+    # The constructor checked the profile's lengths, so force checks only a
+    # and T, and the quadrature's tolerance, each once.
+    names = []
+
+    def recorded(name, x, domain):
+        names.append(name)
+        return check_finite(name, x, domain)
+
+    monkeypatch.setattr(pfa, "check_finite", recorded)
+    force(profile, 1.0e-6, T_BENCH, method)
+    assert names == checked
+
+
+@pytest.mark.parametrize("method", [None, "full", "quadrature"])
+@pytest.mark.parametrize("profile", KINDS.values(), ids=KINDS.keys())
+def test_no_method_reports_a_repulsive_force(monkeypatch, profile, method):
+    # A plate kernel with every value negated makes every sum repulsive:
+    # each method refuses it instead of returning it.
+    kernel = pfa._plate_kernel
+
+    def repulsive(z, T, want):
+        *values, n = kernel(z, T, want)
+        return (*(None if v is None else -v for v in values), n)
+
+    monkeypatch.setattr(pfa, "_plate_kernel", repulsive)
+    with pytest.raises(ValueError):
+        force(profile, 1.0e-6, T_BENCH, method)
 
 
 @pytest.mark.parametrize("profile, calls", [
@@ -841,7 +878,7 @@ def test_no_method_refuses_a_profile_that_builds(profile):
     closed = "simplified" if perfect else profile.kind.value
     for method in ("full", "quadrature", closed):
         result = force(profile, a, T, method)
-        assert 0.0 < result.magnitude < math.inf and result.attractive
+        assert 0.0 < result.magnitude < math.inf
     assert validate_spec(profile).checks
     if not perfect:
         assert 0.0 < derive_geometry(profile).r <= lateral_extent(profile)

@@ -262,6 +262,16 @@ def test_kernel_is_continuous_across_two_pi():
         assert float(abs(step / reference[0][i])) <= 2.0 * KERNEL_REL_BOUND
 
 
+def test_z_T_is_the_gap_at_which_the_kernel_switches_series():
+    # pfa cuts quadrature pieces at z_T = _Z_T_TIMES_T / T, the gap at which
+    # _plate_kernel switches series (tau = 2 pi), over the whole served T range.
+    rng = np.random.default_rng(35)
+    for T in np.exp(rng.uniform(math.log(1.0e-2), math.log(1.0e9), 2000)):
+        T = float(T)
+        t = plates._tau(plates._Z_T_TIMES_T / T, T)
+        assert abs(t - 2.0 * math.pi) <= 4.0 * math.ulp(2.0 * math.pi), T
+
+
 @pytest.mark.parametrize("z, T, pinned, terms", kernel_pins())
 def test_every_kernel_mode_reproduces_its_pinned_bits(z, T, pinned, terms):
     # Each mode reads its slots bit for bit as the kernel that computed all

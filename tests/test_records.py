@@ -47,9 +47,9 @@ RECORDS = [
 
 #: The same for the two result records, which are plain: not frozen, unhashable.
 RESULTS = [
-    (ForceResult, dict(magnitude=4.2e-10, attractive=True, method=ForceMethod.BUBBLE,
+    (ForceResult, dict(magnitude=4.2e-10, method=ForceMethod.BUBBLE,
                        a=1e-6, T=300.0, warning="w"),
-     "ForceResult(magnitude=4.2e-10, attractive=True, method=<ForceMethod.BUBBLE: 'bubble'>, "
+     "ForceResult(magnitude=4.2e-10, method=<ForceMethod.BUBBLE: 'bubble'>, "
      "a=1e-06, T=300.0, warning='w')"),
     (FreeEnergyAreal, dict(value=-1.0, bracket=1.0, terms_used=3),
      "FreeEnergyAreal(value=-1.0, bracket=1.0, terms_used=3)"),
