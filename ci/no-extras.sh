@@ -179,6 +179,16 @@ echo "== A budget without a positive scatter of the mean is refused with one err
 printf 'random_error = 0.05\nsystematic_components = 0.19\nvariance_of_mean = 0\n' > budget.cfg
 refuses 1 'scatter of the mean' caslens combine-errors --budget budget.cfg
 
+echo "== A budget with a confidence level outside (0, 1) is refused with one error line"
+printf 'random_error = 0.05\nsystematic_components = 0.19\nvariance_of_mean = 0.02\nbeta = 1.5\n' \
+  > budget.cfg
+refuses 1 'beta=1.5' caslens combine-errors --budget budget.cfg
+
+echo "== A --k-table component count that is not a whole number is refused with one error line"
+printf 'random_error = 0.05\nsystematic_components = 0.19\nvariance_of_mean = 0.02\n' > budget.cfg
+printf '2.5 1.1\n' > k.txt
+refuses 1 'component count' caslens combine-errors --budget budget.cfg --k-table k.txt
+
 echo "== A cap deeper than a hemisphere is refused with one error line"
 refuses 1 'D1=1.5e-06' caslens validate-lens --profile bubble --R 15cm --R1 1um --D1 1.5um
 

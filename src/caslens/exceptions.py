@@ -45,14 +45,20 @@ LENGTH = (1.0e-12, 1.0e5, False, "[1e-12, 1e5] m")
 LENGTH_OR_ZERO = (1.0e-12, 1.0e5, True, "0 or [1e-12, 1e5] m")
 TEMPERATURE = (0.0, 1.0e9, False, "[0, 1e9] K")
 TOLERANCE = (math.ulp(0.0), math.nextafter(math.inf, 0.0), False, "(0, inf)")
+#: An error budget's magnitudes, its confidence beta and its blend
+#: coefficients q, which lie in the attested Q_RANGE_95 at beta = 0.95.
+MAGNITUDE = (0.0, math.nextafter(math.inf, 0.0), False, "[0, inf)")
+CONFIDENCE = (math.ulp(0.0), math.nextafter(1.0, 0.0), False, "(0, 1)")
+BLEND_COEFFICIENT = (math.ulp(0.0), 1.0, False, "(0, 1]")
+Q_RANGE_95 = (0.71, 0.81, False, "[0.71, 0.81]")
 
 
 def check_finite(name: str, x: float, domain: tuple) -> float:
-    """x, if it lies in ``domain`` (LENGTH, LENGTH_OR_ZERO, TEMPERATURE or
-    TOLERANCE); else a ValueError naming ``name``, x and the range.
+    """x, if it lies in ``domain``, one of the tuples above; else a
+    ValueError naming ``name``, x and the range.
 
-    The package's one domain check on a length, temperature or tolerance;
-    NaN fails its chained comparison, so NaN and +-inf are refused too.
+    The package's one domain check on a served quantity; NaN fails its
+    chained comparison, so NaN and +-inf are refused too.
     """
     low, high, zero, text = domain
     if low <= x <= high or (zero and x == 0.0):

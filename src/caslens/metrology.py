@@ -38,14 +38,12 @@ from collections.abc import Mapping
 from enum import Enum
 
 from .config import _lines
-from .exceptions import DegenerateBudgetError, TableLookupError, _Record
+from .exceptions import (BLEND_COEFFICIENT, CONFIDENCE, MAGNITUDE, Q_RANGE_95, TOLERANCE,
+                         DegenerateBudgetError, TableLookupError, _Record, check_finite)
 
 #: Regime thresholds for r = delta_s / s_mean; both edges fall in the blend.
 RANDOM_DOMINATES_BELOW = 0.8
 SYSTEMATIC_DOMINATES_ABOVE = 8.0
-
-#: Allowed range for blend coefficients at confidence 0.95.
-Q_RANGE_95 = (0.71, 0.81)
 
 #: The one attested combination coefficient: three components at 95%.
 DEFAULT_K_TABLE: Mapping[int, float] = {3: 1.1}
@@ -64,7 +62,7 @@ class ErrorBudget(_Record):
     """Inputs for a total-error combination.
 
     random_error           total random error delta_r at confidence beta
-    systematic_components  individual systematic magnitudes
+    systematic_components  individual systematic magnitudes, at least one
     variance_of_mean       scatter s_mean of the mean measurement
     beta                   confidence level shared by all entries
     k_table                J -> k at beta; at beta = 0.95 the attested
@@ -72,9 +70,12 @@ class ErrorBudget(_Record):
     q_table                r -> q at beta, for the blend regime
 
     A table left as None is empty; the budget keeps its own copy of each.
-    Every rule of a budget is checked here, once: a budget of J >= 2
-    components needs k for J, and the scatter of the mean is positive.
-    ``total_error`` only combines.
+    Every rule of a budget is checked here, once: delta_r, each component
+    and each r lie in [0, inf), beta in (0, 1), each k in (0, inf) and each
+    q in (0, 1], in Q_RANGE_95 = [0.71, 0.81] at beta = 0.95, each checked
+    by ``check_finite``; s_mean is finite and positive; each J is a whole
+    number >= 1, kept as an int, and a budget of J >= 2 components needs k
+    for J.  ``total_error`` only combines.
     """
 
     __slots__ = ("random_error", "systematic_components", "variance_of_mean", "beta",
@@ -84,37 +85,26 @@ class ErrorBudget(_Record):
                  variance_of_mean: float, beta: float = 0.95,
                  k_table: Mapping[int, float] | None = None,
                  q_table: Mapping[float, float] | None = None) -> None:
-        if not 0.0 <= random_error < math.inf:
-            raise ValueError(
-                f"random error must be non-negative and finite, got {random_error!r}"
-            )
+        check_finite("random_error", random_error, MAGNITUDE)
         components = tuple(float(c) for c in systematic_components)
         if not components:
             raise ValueError("at least one systematic component is required")
-        if not all(0.0 <= c < math.inf for c in components):
-            raise ValueError("systematic components must be non-negative and finite")
+        for i, c in enumerate(components):
+            check_finite(f"systematic_components[{i}]", c, MAGNITUDE)
         if not math.isfinite(variance_of_mean):
             raise ValueError(
                 f"scatter of the mean must be finite, got {variance_of_mean!r}"
             )
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"confidence level must be in (0, 1), got {beta!r}")
+        check_finite("beta", beta, CONFIDENCE)
         merged_k = dict(DEFAULT_K_TABLE) if beta == 0.95 else {}
-        if k_table is not None:
-            merged_k.update(k_table)
-        for j, k in merged_k.items():
-            if j < 1 or not 0.0 < k < math.inf:
-                raise ValueError(f"invalid k table entry ({j}, {beta}) -> {k}")
-        own_q = {} if q_table is None else dict(q_table)
+        merged_k.update(k_table or {})
+        merged_k = {_component_count(j, "k_table"): check_finite(f"k_table[{j!r}]", k, TOLERANCE)
+                    for j, k in merged_k.items()}
+        own_q = dict(q_table or {})
+        q_range = Q_RANGE_95 if beta == 0.95 else BLEND_COEFFICIENT
         for r, q in own_q.items():
-            if not 0.0 <= r < math.inf:
-                raise ValueError(f"invalid q table key r={r!r}")
-            if not 0.0 < q <= 1.0:
-                raise ValueError(f"blend coefficient q={q!r} outside (0, 1]")
-            if beta == 0.95 and not Q_RANGE_95[0] <= q <= Q_RANGE_95[1]:
-                raise ValueError(
-                    f"q={q!r} at beta=0.95 outside the attested range {Q_RANGE_95}"
-                )
+            check_finite("q_table key r", r, MAGNITUDE)
+            check_finite(f"q_table[{r!r}]", q, q_range)
         self._store(random_error, components, variance_of_mean, beta, merged_k, own_q)
         count = len(components)
         if count > 1 and count not in merged_k:
@@ -202,6 +192,14 @@ def total_error(budget: ErrorBudget, measured_value: float | None = None) -> Com
     )
 
 
+def _component_count(j: float, where: object) -> int:
+    """j as an int, if it is a whole number >= 1: the one rule on a component
+    count J, in a k table read from a file or given to ``ErrorBudget``."""
+    if not (1 <= j < math.inf and j == int(j)):
+        raise ValueError(f"{where}: component count must be a positive integer, got {j!r}")
+    return int(j)
+
+
 def _read_two_column_table(path: str | os.PathLike[str]) -> list[tuple[float, float]]:
     rows = []
     for where, line, raw in _lines(path):
@@ -217,13 +215,7 @@ def _read_two_column_table(path: str | os.PathLike[str]) -> list[tuple[float, fl
 
 def load_k_table(path: str | os.PathLike[str]) -> dict[int, float]:
     """Read a two-column (J, k) text table for a single confidence level."""
-    table = {}
-    for j_value, k in _read_two_column_table(path):
-        if not (math.isfinite(j_value) and j_value >= 1 and j_value == int(j_value)):
-            raise ValueError(f"{path}: component count must be a positive integer, "
-                             f"got {j_value!r}")
-        table[int(j_value)] = k
-    return table
+    return {_component_count(j, path): k for j, k in _read_two_column_table(path)}
 
 
 def load_q_table(path: str | os.PathLike[str]) -> dict[float, float]:

@@ -9,6 +9,7 @@ import pytest
 import caslens
 
 from caslens import (
+    ErrorBudget,
     LensProfile,
     force,
     force_bubble,
@@ -18,6 +19,7 @@ from caslens import (
     free_energy_pp_oracle,
     ratio_curve,
     tau,
+    total_error,
     validate_spec,
 )
 
@@ -31,6 +33,8 @@ POINT = {"a": 1.0e-6, "T": 300.0}
 POSITIVE = (0.0, -1.0)
 NON_NEGATIVE = (-1.0,)
 AT_POINT = {"a": POSITIVE, "T": NON_NEGATIVE}
+BUDGET = {"random_error": 0.05, "systematic_components": (0.19,), "variance_of_mean": 0.02,
+          "beta": 0.95}
 
 
 def ratio_curve_ending_at(profile, a, T):
@@ -69,6 +73,11 @@ ENTRIES = {
     "tau": (tau, {"z": 1.0e-6, "T": 300.0}, {"z": POSITIVE, "T": NON_NEGATIVE}),
     "free_energy_pp_oracle": (free_energy_pp_oracle, {"z": 1.0e-6, "T": 300.0, "l_max": 100},
                               {"z": POSITIVE, "T": POSITIVE, "l_max": (0, -1, 1.5)}),
+    "ErrorBudget": (ErrorBudget, BUDGET, {"random_error": NON_NEGATIVE,
+                                          "variance_of_mean": POSITIVE,
+                                          "beta": (0.0, 1.0, -1.0)}),
+    "total_error": (total_error, {"budget": ErrorBudget(**BUDGET), "measured_value": 100.0},
+                    {"measured_value": (0.0,)}),
 }
 
 

@@ -1,5 +1,6 @@
-"""The served domain: lengths in [1e-12, 1e5] m, temperatures in [0, 1e9] K
-and tolerances in (0, inf), checked once by ``check_finite``.
+"""The served domain: lengths in [1e-12, 1e5] m, temperatures in [0, 1e9] K,
+tolerances in (0, inf) and an error budget's quantities, checked once by
+``check_finite``.
 
 On its corners and inside it every entry gives a finite result that meets
 its invariants, or refuses the call with a ValueError in bounded time;
@@ -19,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from caslens import (
+    CombinedError,
+    ErrorBudget,
     ForceResult,
     FreeEnergyAreal,
     ImperfectionGeometry,
@@ -37,8 +40,8 @@ from caslens import (
     pressure_pp,
 )
 from caslens.cli import main
-from caslens.exceptions import (LENGTH, LENGTH_OR_ZERO, TEMPERATURE, TOLERANCE, NumericalError,
-                                check_finite)
+from caslens.exceptions import (CONFIDENCE, LENGTH, LENGTH_OR_ZERO, MAGNITUDE, TEMPERATURE,
+                                TOLERANCE, NumericalError, check_finite)
 from caslens.plates import _E, _F, _P, _plate_kernel
 from caslens.quadrature import MIN_REL_TOL
 from test_boundary import ENTRIES
@@ -151,8 +154,12 @@ def _values(domain):
 def _domain_of(label, name):
     if name == "T":
         return TEMPERATURE
-    if name in ("tol", "quad_tol", "curvature_tolerance"):
+    if name in ("tol", "quad_tol", "curvature_tolerance", "variance_of_mean"):
         return TOLERANCE
+    if name == "random_error":
+        return MAGNITUDE
+    if name == "beta":
+        return CONFIDENCE
     if label in ("force_bubble", "force_pit") and name in ("R1", "D1"):
         return LENGTH_OR_ZERO
     return LENGTH
@@ -220,6 +227,12 @@ def _check_result(result, args):
         # The end point is included within 1e-9 of a step.
         assert all(LENGTH_MIN <= x <= args["stop"] + 2.0e-9 * args["step"] for x in result)
         assert all(b > prev for prev, b in zip(result, result[1:]))
+    elif isinstance(result, ErrorBudget):
+        assert result.variance_of_mean > 0.0
+        assert all(type(j) is int and j >= 1 for j in result.k_table)
+    elif isinstance(result, CombinedError):
+        assert 0.0 <= result.total <= result.random_error + result.systematic_error < math.inf
+        assert 0.0 <= result.relative < math.inf
     elif isinstance(result, dict):  # a coefficient table
         assert all(math.isfinite(v) for v in result.values())
     else:  # tau, lateral_extent
@@ -259,6 +272,12 @@ def _valid_or_inside(valid, domain):
     return st.one_of(st.just(valid), _inside(domain))
 
 
+#: total_error's measured value, served at any finite value but 0, of either
+#: sign: values inside, and values outside.
+_MEASURED_VALUE = (st.one_of(_inside(TOLERANCE), _inside(TOLERANCE).map(lambda x: -x)),
+                   st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+
 @st.composite
 def _arguments(draw, label):
     _entry, valid, domains = ENTRIES[label]
@@ -270,9 +289,12 @@ def _arguments(draw, label):
     names = [*domains, *fields]
     outside = draw(st.sampled_from([None] * len(names) + names))
     for name in domains:
-        domain = _domain_of(label, name)
-        kwargs[name] = draw(_outside(domain) if name == outside
-                            else _valid_or_inside(valid[name], domain))
+        if name == "measured_value":
+            inside, beyond = _MEASURED_VALUE
+        else:
+            domain = _domain_of(label, name)
+            inside, beyond = _valid_or_inside(valid[name], domain), _outside(domain)
+        kwargs[name] = draw(beyond if name == outside else inside)
     if fields:
         kwargs["profile"] = draw(_profiles(profile.kind.value, outside))
     return kwargs, outside is not None

@@ -1,6 +1,7 @@
 """Random/systematic error combination rules and coefficient tables."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,10 @@ def test_combine_validation():
     with pytest.raises(ValueError):
         ErrorBudget(random_error=0.0, systematic_components=(1.0,),
                     variance_of_mean=1.0, k_table={1: 0.0})
+    # A component count follows load_k_table's rule: a whole number >= 1.
+    with pytest.raises(ValueError, match="component count must be a positive integer"):
+        ErrorBudget(random_error=0.1, systematic_components=(1.0,),
+                    variance_of_mean=1.0, k_table={2.5: 1.0})
 
 
 @given(
@@ -194,6 +199,28 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         ErrorBudget(random_error=0.1, systematic_components=(1.0,),
                     variance_of_mean=1.0, beta=0.9, q_table={1.0: 1.5})
+    # A whole-number component count is kept as an int, as load_k_table keeps it.
+    budget = ErrorBudget(random_error=0.1, systematic_components=(1.0,),
+                         variance_of_mean=1.0, k_table={2.0: 1.2})
+    assert [(j, type(j)) for j in budget.k_table] == [(3, int), (2, int)]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"random_error": -1.0}, "random_error=-1.0 lies outside the served range [0, inf)"),
+    ({"systematic_components": (1.0, -2.0)},
+     "systematic_components[1]=-2.0 lies outside the served range [0, inf)"),
+    ({"beta": 1.5}, "beta=1.5 lies outside the served range (0, 1)"),
+    ({"k_table": {2: 0.0}}, "k_table[2]=0.0 lies outside the served range (0, inf)"),
+    ({"q_table": {-1.0: 0.75}}, "q_table key r=-1.0 lies outside the served range [0, inf)"),
+    ({"q_table": {1.0: 0.5}}, "q_table[1.0]=0.5 lies outside the served range [0.71, 0.81]"),
+    ({"beta": 0.9, "q_table": {1.0: 1.5}},
+     "q_table[1.0]=1.5 lies outside the served range (0, 1]"),
+], ids=["random-error", "component", "beta", "k", "r", "q-at-0.95", "q-at-0.9"])
+def test_budget_refusals_share_the_domain_format(fields, message):
+    valid = dict(random_error=0.1, systematic_components=(1.0, 2.0), variance_of_mean=1.0,
+                 k_table={2: 1.2})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ErrorBudget(**{**valid, **fields})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
